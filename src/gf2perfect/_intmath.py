@@ -1,7 +1,8 @@
 """Small deterministic integer helpers: primality, factoring, totient.
 
 Everything here is exact and deterministic.  Primality is Miller-Rabin
-with a witness set proven complete below 2^64; factoring is trial
+with a witness set proven complete below 2^64, and Lucas-Lehmer for
+Mersenne numbers 2^k - 1 of any size; factoring is trial
 division with a Pollard-rho (Brent) fallback, adequate for the 64-bit
 inputs this package needs.
 """
@@ -38,6 +39,19 @@ def is_prime(n: int) -> bool:
         else:
             return False
     return True
+
+
+def is_mersenne_prime_exponent(k: int) -> bool:
+    """True iff 2^k - 1 is prime, exact for every k (Lucas-Lehmer)."""
+    if not is_prime(k):  # 2^k - 1 is composite for composite k, and 1 for k = 1
+        return False
+    if k == 2:
+        return True
+    m = (1 << k) - 1
+    s = 4
+    for _ in range(k - 2):
+        s = (s * s - 2) % m
+    return s == 0
 
 
 def _pollard_rho(n: int) -> int:

@@ -6,34 +6,20 @@ verify, search and explore-p7.  Polynomials are written as expressions
 names (M1..M3, M2b/M3b, T1..T9, B1..B9, S1, S2; underscores optional).
 
 Exit codes: 0 success or all checks passed, 1 a verdict failed, 2 usage
-or input error.  GF2PERFECT_SEED overrides the default factorization
-seed; --seed overrides both.
+or input error (a verify sweep that yields no pass or fail verdict is
+one).  Output depends only on the arguments.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 from . import divisors, search, verify
-from .factor import DEFAULT_SEED, factorize
+from .factor import factorize
 from .gf2poly import BudgetError, Poly
 from .mersenne import catalog, enumerate_mersenne_primes, is_mersenne_prime
-
-SEED_ENV_VAR = "GF2PERFECT_SEED"
-
-
-def _default_seed() -> int:
-    raw = os.environ.get(SEED_ENV_VAR)
-    if raw is None:
-        return DEFAULT_SEED
-    try:
-        return int(raw)
-    except ValueError:
-        raise SystemExit(f"{SEED_ENV_VAR} must be an integer, got {raw!r}")
-
 
 def _poly_arg(text: str) -> Poly:
     p = catalog().aliases().get(text.replace("_", ""))
@@ -51,10 +37,8 @@ def _nonzero_poly_arg(text: str) -> Poly:
     return p
 
 
-def _add_common(sub, fmt=True):
-    if fmt:
-        sub.add_argument("--format", choices=("text", "json"), default="text")
-    sub.add_argument("--seed", type=int, default=None, help="factorization seed")
+def _add_common(sub):
+    sub.add_argument("--format", choices=("text", "json"), default="text")
     sub.add_argument("--out", metavar="FILE", default=None, help="write output here instead of stdout")
 
 
@@ -96,7 +80,6 @@ def _build_parser():
     p.add_argument("--family", choices=("mersenne", "all"), default="mersenne")
     p.add_argument("--max-degree", type=int, required=True)
     p.add_argument("--all-powers", action="store_true", help="list every hit, not class representatives")
-    p.add_argument("--jobs", type=int, default=1)
     _add_common(p)
 
     p = sub.add_parser("explore-p7", help="coefficients of sigma(sigma(M^6)); asserts nothing")
@@ -116,26 +99,26 @@ def _emit(lines, out_path):
         sys.stdout.write(text)
 
 
-def _cmd_factor(args, seed):
+def _cmd_factor(args):
     p = _nonzero_poly_arg(args.poly)
-    fact = factorize(p, seed)
+    fact = factorize(p)
     if args.format == "json":
         return [json.dumps(fact.to_json_obj(), sort_keys=True)], 0
     return [str(fact)], 0
 
 
-def _cmd_sigma(args, seed):
+def _cmd_sigma(args):
     p = _nonzero_poly_arg(args.poly)
-    value = divisors.sigma_star(p, seed) if args.star else divisors.sigma(p, seed)
+    value = divisors.sigma_star(p) if args.star else divisors.sigma(p)
     if args.format == "json":
         key = "sigma_star" if args.star else "sigma"
         return [json.dumps({"input": str(p), key: str(value)}, sort_keys=True)], 0
     return [str(value)], 0
 
 
-def _cmd_check(args, seed):
+def _cmd_check(args):
     p = _nonzero_poly_arg(args.poly)
-    report = divisors.check(p, args.mode, seed)
+    report = divisors.check(p, args.mode)
     code = 0 if report.verdict else 1
     if args.format == "json":
         return [json.dumps(report.to_json_obj(), sort_keys=True)], code
@@ -145,7 +128,7 @@ def _cmd_check(args, seed):
     return [f"{args.mode}: false (witness: {prime} with exact powers {m1} vs {m2})"], code
 
 
-def _cmd_mersenne(args, seed):
+def _cmd_mersenne(args):
     if args.max_degree < 2:
         raise ValueError("--max-degree must be at least 2")
     entries = enumerate_mersenne_primes(args.max_degree)
@@ -154,15 +137,16 @@ def _cmd_mersenne(args, seed):
     return [f"a={m.a} b={m.b} degree={m.degree} poly={m.poly}" for m in entries], 0
 
 
-def _cmd_verify(args, seed):
+def _cmd_verify(args):
     reports = verify.run_all(
         args.max_degree,
         args.max_h,
-        seed=seed,
         degree_budget=args.degree_budget,
         jobs=args.jobs,
         claim=args.claim,
     )
+    if not any(r.verdict in ("pass", "fail") for r in reports):
+        raise ValueError("the sweep checked nothing: no instance gave a pass or fail verdict")
     nfail = len(verify.failures(reports))
     if args.format == "json":
         lines = [r.to_json() for r in reports]
@@ -178,14 +162,14 @@ def _cmd_verify(args, seed):
     return lines, (1 if nfail else 0)
 
 
-def _cmd_search(args, seed):
+def _cmd_search(args):
     family = "mersenne_restricted" if args.family == "mersenne" else "all"
-    cfg = search.SearchConfig(max_degree=args.max_degree, mode=args.mode, family=family, seed=seed)
+    cfg = search.SearchConfig(max_degree=args.max_degree, mode=args.mode, family=family)
     if family == "all":
         hits = search.search_bruteforce(cfg)
     else:
         hits = [p for p, _ in search.search_structured(cfg)]
-    report = search.classify_hits(hits, args.mode, seed)
+    report = search.classify_hits(hits, args.mode)
     lines = []
     if args.all_powers:
         shown = [(member, cls) for cls in report.classes for member in cls.members]
@@ -195,7 +179,7 @@ def _cmd_search(args, seed):
         obj = {
             "poly": str(poly),
             "degree": int(poly.degree),
-            "factored": str(factorize(poly, seed)),
+            "factored": str(factorize(poly)),
             "class_rep": str(cls.rep),
             "trivial": cls.trivial,
             "in_catalog": cls.in_catalog,
@@ -210,14 +194,14 @@ def _cmd_search(args, seed):
     return lines, 0
 
 
-def _cmd_explore_p7(args, seed):
+def _cmd_explore_p7(args):
     p = _nonzero_poly_arg(args.poly)
     witness = is_mersenne_prime(p)
     if witness is None:
         raise ValueError(f"{p} is not a Mersenne prime")
     from .mersenne import MersennePrime
 
-    coeffs = verify.explore_alpha_u6(MersennePrime(witness[0], witness[1], p), seed)
+    coeffs = verify.explore_alpha_u6(MersennePrime(witness[0], witness[1], p))
     if args.odd_only:
         coeffs = [(l, c) for l, c in coeffs if l % 2]
     if args.format == "json":
@@ -245,9 +229,8 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
-    seed = args.seed if args.seed is not None else _default_seed()
     try:
-        lines, code = _COMMANDS[args.command](args, seed)
+        lines, code = _COMMANDS[args.command](args)
     except (ValueError, ZeroDivisionError, BudgetError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

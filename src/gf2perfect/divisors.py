@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
 
-from .factor import DEFAULT_SEED, Factorization, factorize, is_irreducible
+from .factor import Factorization, factorize, is_irreducible
 from .gf2poly import ONE, X, BudgetError, Poly, gcd
 
 #: sigma_oracle refuses inputs above this degree (divisor counts explode).
@@ -64,26 +64,26 @@ def _sigma_prime_power_naive(prime: Poly, n: int) -> Poly:
 
 
 @lru_cache(maxsize=8192)
-def _sigma_cached(mask: int, seed: int) -> Poly:
+def _sigma_cached(mask: int) -> Poly:
     out = ONE
-    for prime, n in factorize(Poly(mask), seed):
+    for prime, n in factorize(Poly(mask)):
         out = out * _sigma_prime_power(prime, n)
     return out
 
 
-def sigma(a: Poly, seed: int = DEFAULT_SEED) -> Poly:
+def sigma(a: Poly) -> Poly:
     """Sum of all divisors of a nonzero polynomial."""
     if not a:
         raise ValueError("sigma is undefined for the zero polynomial")
-    return _sigma_cached(a.mask, seed)
+    return _sigma_cached(a.mask)
 
 
-def sigma_star(a: Poly, seed: int = DEFAULT_SEED) -> Poly:
+def sigma_star(a: Poly) -> Poly:
     """Sum of the unitary divisors: product of 1 + P^n over P^n || a."""
     if not a:
         raise ValueError("sigma* is undefined for the zero polynomial")
     out = ONE
-    for prime, n in factorize(a, seed):
+    for prime, n in factorize(a):
         out = out * (prime**n + ONE)
     return out
 
@@ -97,26 +97,26 @@ def _divisors(fact: Factorization):
         yield d
 
 
-def sigma_oracle(a: Poly, seed: int = DEFAULT_SEED) -> Poly:
+def sigma_oracle(a: Poly) -> Poly:
     """Literal sum over all divisors; degree-capped verification oracle."""
     if not a:
         raise ValueError("sigma is undefined for the zero polynomial")
     if a.degree > ORACLE_DEGREE_CAP:
         raise BudgetError(f"oracle is capped at degree {ORACLE_DEGREE_CAP}")
     out = Poly(0)
-    for d in _divisors(factorize(a, seed)):
+    for d in _divisors(factorize(a)):
         out = out + d
     return out
 
 
-def sigma_star_oracle(a: Poly, seed: int = DEFAULT_SEED) -> Poly:
+def sigma_star_oracle(a: Poly) -> Poly:
     """Literal sum over divisors d with gcd(d, a/d) = 1; degree-capped."""
     if not a:
         raise ValueError("sigma* is undefined for the zero polynomial")
     if a.degree > ORACLE_DEGREE_CAP:
         raise BudgetError(f"oracle is capped at degree {ORACLE_DEGREE_CAP}")
     out = Poly(0)
-    for d in _divisors(factorize(a, seed)):
+    for d in _divisors(factorize(a)):
         if gcd(d, a // d) == ONE:
             out = out + d
     return out
@@ -137,11 +137,11 @@ def exact_power(prime: Poly, s: Poly) -> int:
         m += 1
 
 
-def _witness(subject: Poly, divisor_sum: Poly, seed: int):
+def _witness(subject: Poly, divisor_sum: Poly):
     # first prime (in mask order) whose exact powers in subject and in the
     # divisor sum disagree; one exists whenever the two differ
-    fs = factorize(subject, seed)
-    fd = factorize(divisor_sum, seed)
+    fs = factorize(subject)
+    fd = factorize(divisor_sum)
     primes = sorted(set(fs.primes()) | set(fd.primes()))
     for p in primes:
         m1 = fs.exponent_of(p)
@@ -151,32 +151,32 @@ def _witness(subject: Poly, divisor_sum: Poly, seed: int):
     return None
 
 
-def is_perfect(a: Poly, seed: int = DEFAULT_SEED) -> PerfectionReport:
+def is_perfect(a: Poly) -> PerfectionReport:
     """Test sigma(a) = a, with a disagreeing prime-power pair on failure."""
     if not a:
         raise ValueError("perfection is undefined for the zero polynomial")
-    s = sigma(a, seed)
+    s = sigma(a)
     if s == a:
         return PerfectionReport(a, MODE_SIGMA, True)
-    return PerfectionReport(a, MODE_SIGMA, False, _witness(a, s, seed))
+    return PerfectionReport(a, MODE_SIGMA, False, _witness(a, s))
 
 
-def is_unitary_perfect(a: Poly, seed: int = DEFAULT_SEED) -> PerfectionReport:
+def is_unitary_perfect(a: Poly) -> PerfectionReport:
     """Test sigma*(a) = a, with a disagreeing prime-power pair on failure."""
     if not a:
         raise ValueError("perfection is undefined for the zero polynomial")
-    s = sigma_star(a, seed)
+    s = sigma_star(a)
     if s == a:
         return PerfectionReport(a, MODE_SIGMA_STAR, True)
-    return PerfectionReport(a, MODE_SIGMA_STAR, False, _witness(a, s, seed))
+    return PerfectionReport(a, MODE_SIGMA_STAR, False, _witness(a, s))
 
 
-def check(a: Poly, mode: str, seed: int = DEFAULT_SEED) -> PerfectionReport:
+def check(a: Poly, mode: str) -> PerfectionReport:
     """Dispatch on mode: 'perfect' -> sigma, 'unitary' -> sigma*."""
     if mode == "perfect":
-        return is_perfect(a, seed)
+        return is_perfect(a)
     if mode == "unitary":
-        return is_unitary_perfect(a, seed)
+        return is_unitary_perfect(a)
     raise ValueError(f"unknown mode {mode!r}")
 
 
@@ -187,23 +187,23 @@ def is_even_poly(a: Poly) -> bool:
     return a.mask & 1 == 0 or a.mask.bit_count() % 2 == 0
 
 
-def is_multiperfect(a: Poly, seed: int = DEFAULT_SEED) -> bool:
+def is_multiperfect(a: Poly) -> bool:
     """Exploration predicate: does a divide sigma(a)?"""
     if not a:
         raise ValueError("multiperfection is undefined for the zero polynomial")
-    return a.divides(sigma(a, seed))
+    return a.divides(sigma(a))
 
 
-def is_indecomposable(a: Poly, mode: str = "perfect", seed: int = DEFAULT_SEED) -> bool:
+def is_indecomposable(a: Poly, mode: str = "perfect") -> bool:
     """True iff a is not a product of two coprime nonconstant polynomials
     that are both perfect (or both unitary perfect, per mode).
 
     Searches all coprime splits obtained by grouping prime powers.
     """
-    report = check(a, mode, seed)
+    report = check(a, mode)
     if not report.verdict:
         raise ValueError(f"input is not {mode} so indecomposability does not apply")
-    fact = factorize(a, seed)
+    fact = factorize(a)
     k = len(fact)
     if k > INDECOMPOSABLE_OMEGA_CAP:
         raise BudgetError(f"coprime-split search capped at {INDECOMPOSABLE_OMEGA_CAP} primes")
@@ -214,7 +214,7 @@ def is_indecomposable(a: Poly, mode: str = "perfect", seed: int = DEFAULT_SEED) 
             if bits >> i & 1:
                 u = u * parts[i]
         v = a // u
-        if check(u, mode, seed).verdict and check(v, mode, seed).verdict:
+        if check(u, mode).verdict and check(v, mode).verdict:
             return False
     return True
 

@@ -4,8 +4,9 @@ Factorization runs squarefree splitting (derivative/gcd plus square-root
 extraction, which in characteristic 2 replaces Yun's algorithm), then
 distinct-degree splitting, then equal-degree splitting with the
 characteristic-2 trace map.  The equal-degree stage draws random split
-candidates from a generator seeded by (seed, input), so results are
-reproducible and independent of call order.
+candidates from a generator seeded by the input alone.  The draws only
+decide how quickly a split is found: the factorization over GF(2) is
+unique and returned sorted, so the result depends on the input only.
 """
 
 from __future__ import annotations
@@ -16,9 +17,6 @@ from functools import lru_cache
 
 from . import _intmath
 from .gf2poly import ONE, X, BudgetError, Poly, gcd
-
-#: Default seed for the equal-degree splitting stage.
-DEFAULT_SEED = 2
 
 #: is_primitive refuses degrees whose group order 2^r - 1 exceeds this.
 PRIMITIVITY_DEGREE_CAP = 64
@@ -152,13 +150,15 @@ def _distinct_degree_split(f: Poly, rng, sink):
         sink(f)
 
 
-def _rng_for(seed: int, p: Poly):
-    # independent of call order and safe to use from worker processes
-    return random.Random((seed * 0x9E3779B97F4A7C15 + p.mask % ((1 << 61) - 1)) & (1 << 64) - 1)
+def _rng_for(p: Poly):
+    # a function of p alone, so independent of call order and safe in worker
+    # processes; any offset yields the same factors, this one fixes how many
+    # draws the splits take
+    return random.Random((2 * 0x9E3779B97F4A7C15 + p.mask % ((1 << 61) - 1)) & (1 << 64) - 1)
 
 
 @lru_cache(maxsize=8192)
-def _factorize_cached(mask: int, seed: int) -> Factorization:
+def _factorize_cached(mask: int) -> Factorization:
     p = Poly(mask)
     counts: dict[Poly, int] = {}
 
@@ -168,7 +168,7 @@ def _factorize_cached(mask: int, seed: int) -> Factorization:
 
         return sink
 
-    rng = _rng_for(seed, p)
+    rng = _rng_for(p)
     f = p
     scale = 1
     while f.degree > 0:
@@ -187,16 +187,16 @@ def _factorize_cached(mask: int, seed: int) -> Factorization:
     return Factorization(original=p, factors=ordered)
 
 
-def factorize(p: Poly, seed: int = DEFAULT_SEED) -> Factorization:
+def factorize(p: Poly) -> Factorization:
     """Complete factorization of a nonzero polynomial."""
     if not p:
         raise ValueError("cannot factor the zero polynomial")
-    return _factorize_cached(p.mask, seed)
+    return _factorize_cached(p.mask)
 
 
-def omega(p: Poly, seed: int = DEFAULT_SEED) -> int:
+def omega(p: Poly) -> int:
     """Number of distinct irreducible factors."""
-    return len(factorize(p, seed).factors)
+    return len(factorize(p).factors)
 
 
 def is_squarefree(p: Poly) -> bool:

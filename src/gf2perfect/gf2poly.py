@@ -323,16 +323,6 @@ X = Poly(2)
 XP1 = Poly(3)
 
 
-def add(p: Poly, q: Poly) -> Poly:
-    """Sum (equivalently difference) of two polynomials."""
-    return p + q
-
-
-def mul(p: Poly, q: Poly) -> Poly:
-    """Product of two polynomials."""
-    return p * q
-
-
 def div_rem(p: Poly, d: Poly) -> tuple[Poly, Poly]:
     """Quotient and remainder with deg r < deg d; d must be nonzero."""
     return divmod(p, d)
@@ -343,11 +333,6 @@ def gcd(p: Poly, q: Poly) -> Poly:
     if not p and not q:
         raise ValueError("gcd(0, 0) is undefined")
     return Poly(_gcd_mask(p.mask, q.mask))
-
-
-def power(p: Poly, n: int) -> Poly:
-    """p raised to a nonnegative integer power by repeated squaring."""
-    return p**n
 
 
 def bar(p: Poly) -> Poly:

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache
+from math import gcd
 
 from . import _intmath
 from .factor import is_irreducible
@@ -90,18 +91,12 @@ def enumerate_mersenne_primes(max_degree: int) -> list[MersennePrime]:
     for degree in range(2, max_degree + 1):
         for a in range(1, degree):
             b = degree - a
-            if _gcd_int(a, b) != 1:
+            if gcd(a, b) != 1:
                 continue
             p = mersenne_poly(a, b)
             if is_irreducible(p):
                 found.append(MersennePrime(a, b, p))
     return found
-
-
-def _gcd_int(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return a
 
 
 def ord2(p: int) -> int:

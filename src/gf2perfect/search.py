@@ -15,7 +15,7 @@ from array import array
 from dataclasses import dataclass
 
 from .divisors import PerfectionReport, canonical_class_rep, check, is_indecomposable, sigma, sigma_star
-from .factor import DEFAULT_SEED, factorize
+from .factor import factorize
 from .gf2poly import ONE, X, XP1, BudgetError, Poly, _divmod_mask, _mul_mask
 from .mersenne import catalog, enumerate_mersenne_primes, mersenne_form
 
@@ -31,7 +31,6 @@ class SearchConfig:
     max_degree: int
     mode: str = "perfect"
     family: str = "mersenne_restricted"
-    seed: int = DEFAULT_SEED
 
     def __post_init__(self):
         if self.max_degree < 1:
@@ -59,8 +58,8 @@ def _part_sigma_table(cfg: SearchConfig):
     unitary = cfg.mode == "unitary"
 
     def part_sum(base: Poly, e: int):
-        value = sigma_star(base**e, cfg.seed) if unitary else sigma(base**e, cfg.seed)
-        fact = factorize(value, cfg.seed)
+        value = sigma_star(base**e) if unitary else sigma(base**e)
+        fact = factorize(value)
         if not _is_mersenne_or_linear(fact):
             return None
         return dict(fact.factors)
@@ -157,7 +156,7 @@ def search_structured(cfg: SearchConfig) -> list[tuple[Poly, PerfectionReport]]:
 
     extend(0, cfg.max_degree - 2, [])
     hits.sort()
-    return [(p, check(p, cfg.mode, cfg.seed)) for p in hits]
+    return [(p, check(p, cfg.mode)) for p in hits]
 
 
 def _sieve_masks(max_degree: int):
@@ -257,7 +256,7 @@ class ClassificationReport:
         return {"mode": self.mode, "classes": [c.to_json_obj() for c in self.classes]}
 
 
-def classify_hits(hits, mode: str, seed: int = DEFAULT_SEED) -> ClassificationReport:
+def classify_hits(hits, mode: str) -> ClassificationReport:
     """Group hits into classes and flag the notable ones.
 
     Unitary hits are grouped under their canonical power-of-two class
@@ -280,7 +279,7 @@ def classify_hits(hits, mode: str, seed: int = DEFAULT_SEED) -> ClassificationRe
             groups.setdefault(canonical_class_rep(h), []).append(h)
     classes = []
     for rep in sorted(groups):
-        fact = factorize(rep, seed)
+        fact = factorize(rep)
         odd = [p for p, _ in fact if p != X and p != XP1]
         classes.append(
             HitClass(
@@ -289,7 +288,7 @@ def classify_hits(hits, mode: str, seed: int = DEFAULT_SEED) -> ClassificationRe
                 trivial=not odd,
                 in_catalog=rep in known_reps,
                 outside_scope=any(mersenne_form(p) is None for p in odd),
-                decomposable=not is_indecomposable(groups[rep][0], mode, seed),
+                decomposable=not is_indecomposable(groups[rep][0], mode),
             )
         )
     return ClassificationReport(mode=mode, classes=tuple(classes))

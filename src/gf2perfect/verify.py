@@ -3,9 +3,9 @@
 Each checker recomputes one verifiable statement about divisor sums of
 Mersenne-prime powers and returns a TheoremReport.  Claim identifiers
 ("thm1.2-i", "lemma3.2", ...) are the stable vocabulary used by the CLI
-and the report stream; every checker is deterministic given the
-factorization seed, and run_all emits reports in a fixed order so two
-runs with the same budgets are byte-identical.
+and the report stream; every checker is a function of its arguments
+alone, and run_all emits reports in a fixed order so two runs with the
+same budgets are byte-identical.
 
 Verdicts: "pass" and "fail" apply inside a claim's hypotheses; instances
 outside them report "out_of_scope" and still attach the computed data,
@@ -18,11 +18,10 @@ import json
 import random
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from functools import lru_cache
 
 from . import _intmath
 from .divisors import sigma
-from .factor import DEFAULT_SEED, count_irreducibles, euler_phi, factorize, is_irreducible, is_primitive
+from .factor import count_irreducibles, euler_phi, factorize, is_irreducible, is_primitive
 from .gf2poly import ONE, X, XP1, Poly
 from .mersenne import MersennePrime, catalog, enumerate_mersenne_primes, in_delta, mersenne_form
 
@@ -60,10 +59,10 @@ def _m_params(m: MersennePrime, **extra):
     return {"M": str(m.poly), "a": m.a, "b": m.b, **extra}
 
 
-@lru_cache(maxsize=512)
-def _sigma_power_factored(mask: int, n: int, seed: int):
-    s = sigma(Poly(mask) ** n, seed)
-    return s, factorize(s, seed)
+def _sigma_power(m: MersennePrime, n: int):
+    # sigma(M^n) and its factorization; both layers cache by mask
+    s = sigma(m.poly**n)
+    return s, factorize(s)
 
 
 def _classify_factors(fact):
@@ -80,15 +79,15 @@ def _delta_primes(n: int):
     return [q for q in _intmath.prime_factors(n) if q != 2 and in_delta(q)]
 
 
-def check_squarefree(m: MersennePrime, h: int, seed: int = DEFAULT_SEED) -> TheoremReport:
+def check_squarefree(m: MersennePrime, h: int) -> TheoremReport:
     """sigma(M^2h) has no repeated irreducible factor."""
-    _, fact = _sigma_power_factored(m.poly.mask, 2 * h, seed)
+    _, fact = _sigma_power(m, 2 * h)
     params = _m_params(m, h=h)
     verdict = "pass" if fact.is_squarefree else "fail"
     return _report("lemma3.2", params, verdict, {"multiplicities": [mu for _, mu in fact]})
 
 
-def check_sigma_even_power(m: MersennePrime, h: int, seed: int = DEFAULT_SEED) -> TheoremReport:
+def check_sigma_even_power(m: MersennePrime, h: int) -> TheoremReport:
     """sigma(M^2h) is divisible by a non-Mersenne prime, inside hypotheses.
 
     Case (i): M one of the five small Mersenne primes, excluding h = 1
@@ -100,7 +99,7 @@ def check_sigma_even_power(m: MersennePrime, h: int, seed: int = DEFAULT_SEED) -
     if h < 1:
         raise ValueError("h must be positive")
     cat = catalog()
-    _, fact = _sigma_power_factored(m.poly.mask, 2 * h, seed)
+    _, fact = _sigma_power(m, 2 * h)
     mers, other = _classify_factors(fact)
     params = _m_params(m, h=h)
     witness = {
@@ -124,16 +123,16 @@ def check_sigma_even_power(m: MersennePrime, h: int, seed: int = DEFAULT_SEED) -
     return _report(claim, params, "pass" if other else "fail", witness)
 
 
-def check_U_split_square(m: MersennePrime, h: int, seed: int = DEFAULT_SEED) -> TheoremReport:
+def check_U_split_square(m: MersennePrime, h: int) -> TheoremReport:
     """When sigma(M^2h) has only Mersenne prime factors, the double
     divisor sum U = sigma(sigma(M^2h)) must split as x^u (x+1)^v with u
     and v even, and sigma(M^2h) must be reducible.  When some factor is
     not Mersenne the premise fails; the report then records which of the
     conclusions concretely fail for this instance.
     """
-    s, fact = _sigma_power_factored(m.poly.mask, 2 * h, seed)
+    s, fact = _sigma_power(m, 2 * h)
     _, other = _classify_factors(fact)
-    u2h = sigma(s, seed)
+    u2h = sigma(s)
     u = u2h.valuation(X)
     v = u2h.valuation(XP1)
     splits = (XP1**v << u) == u2h
@@ -152,20 +151,20 @@ def check_U_split_square(m: MersennePrime, h: int, seed: int = DEFAULT_SEED) -> 
     return _report("cor3.6", params, "pass" if ok else "fail", witness)
 
 
-def check_p_reduction(m: MersennePrime, h: int, k: int, seed: int = DEFAULT_SEED) -> TheoremReport:
+def check_p_reduction(m: MersennePrime, h: int, k: int) -> TheoremReport:
     """For any divisor k of 2h+1, sigma(M^(k-1)) divides sigma(M^2h)."""
     if (2 * h + 1) % k:
         raise ValueError("k must divide 2h+1")
-    s, _ = _sigma_power_factored(m.poly.mask, 2 * h, seed)
-    small = sigma(m.poly ** (k - 1), seed) if k > 1 else ONE
+    s, _ = _sigma_power(m, 2 * h)
+    small = sigma(m.poly ** (k - 1)) if k > 1 else ONE
     params = _m_params(m, h=h, k=k)
     return _report("lemma3.4", params, "pass" if small.divides(s) else "fail")
 
 
-def check_alpha_ranges(m: MersennePrime, h: int, seed: int = DEFAULT_SEED) -> TheoremReport:
+def check_alpha_ranges(m: MersennePrime, h: int) -> TheoremReport:
     """Top coefficients of sigma(M^2h) agree with M^2h over the first
     deg(M) positions and with M^2h + M^(2h-1) over the next deg(M)."""
-    s, _ = _sigma_power_factored(m.poly.mask, 2 * h, seed)
+    s, _ = _sigma_power(m, 2 * h)
     d = m.degree
     high = m.poly ** (2 * h)
     mixed = high + m.poly ** (2 * h - 1)
@@ -175,12 +174,12 @@ def check_alpha_ranges(m: MersennePrime, h: int, seed: int = DEFAULT_SEED) -> Th
     return _report("lemma3.15", params, "fail" if bad else "pass", {"mismatched_l": bad})
 
 
-def check_alpha3_u2h(m: MersennePrime, h: int, seed: int = DEFAULT_SEED) -> TheoremReport:
+def check_alpha3_u2h(m: MersennePrime, h: int) -> TheoremReport:
     """alpha_3 of the double divisor sum equals 1 for M = x^3+x+1 when
     2h+1 is a prime other than 3, 5, 7; other instances are reported out
     of scope with the computed coefficient attached."""
-    s, _ = _sigma_power_factored(m.poly.mask, 2 * h, seed)
-    u2h = sigma(s, seed)
+    s, _ = _sigma_power(m, 2 * h)
+    u2h = sigma(s)
     low = m.poly ** (2 * h - 1)
     witness = {
         "alpha3_U": u2h.alpha(3),
@@ -196,13 +195,13 @@ def check_alpha3_u2h(m: MersennePrime, h: int, seed: int = DEFAULT_SEED) -> Theo
     return _report("cor3.17", params, "pass" if ok else "fail", witness)
 
 
-def check_alpha3_u2(m: MersennePrime, seed: int = DEFAULT_SEED) -> TheoremReport:
+def check_alpha3_u2(m: MersennePrime) -> TheoremReport:
     """alpha_3(sigma(sigma(M^2))) equals 1 for Mersenne primes outside
     the degree-4 catalog whose sigma(M^2) has at least three distinct
     prime factors."""
     cat = catalog()
-    s, fact = _sigma_power_factored(m.poly.mask, 2, seed)
-    u2 = sigma(s, seed)
+    s, fact = _sigma_power(m, 2)
+    u2 = sigma(s)
     witness = {
         "omega": len(fact),
         "alpha3_U2": u2.alpha(3),
@@ -216,12 +215,12 @@ def check_alpha3_u2(m: MersennePrime, seed: int = DEFAULT_SEED) -> TheoremReport
     return _report("cor3.28", params, "pass" if ok else "fail", witness)
 
 
-def check_alpha_lemmas(m: MersennePrime, h: int, seed: int = DEFAULT_SEED) -> TheoremReport:
+def check_alpha_lemmas(m: MersennePrime, h: int) -> TheoremReport:
     """Bundle of the coefficient checks for one (M, h) instance: the two
     agreement ranges plus, where applicable, the two alpha_3 facts."""
-    parts = [check_alpha_ranges(m, h, seed), check_alpha3_u2h(m, h, seed)]
+    parts = [check_alpha_ranges(m, h), check_alpha3_u2h(m, h)]
     if h == 1:
-        parts.append(check_alpha3_u2(m, seed))
+        parts.append(check_alpha3_u2(m))
     verdict = "fail" if any(p.verdict == "fail" for p in parts) else "pass"
     witness = {p.claim_id: {"verdict": p.verdict, **(p.witness or {})} for p in parts}
     return _report("alpha-lemmas", _m_params(m, h=h), verdict, witness)
@@ -231,7 +230,7 @@ def _irreducibles_of_degree(r: int):
     return [Poly(mask) for mask in range(1 << r, 1 << (r + 1)) if is_irreducible(Poly(mask))]
 
 
-def check_degree_m_divisors(m: MersennePrime, p: int, seed: int = DEFAULT_SEED) -> TheoremReport:
+def check_degree_m_divisors(m: MersennePrime, p: int) -> TheoremReport:
     """Divisibility pattern of sigma(M^(p-1)) for a Mersenne number p = 2^r - 1:
     every irreducible of degree r other than M divides it, no irreducible
     whose degree r' has 2^r' - 1 prime != p divides it, and the three small
@@ -240,12 +239,12 @@ def check_degree_m_divisors(m: MersennePrime, p: int, seed: int = DEFAULT_SEED) 
         raise ValueError(f"supported Mersenne prime numbers: {DESK_MERSENNE_NUMBERS}")
     r = (p + 1).bit_length() - 1
     cat = catalog()
-    s, fact = _sigma_power_factored(m.poly.mask, p - 1, seed)
+    s, fact = _sigma_power(m, p - 1)
     missing = [str(q) for q in _irreducibles_of_degree(r) if q != m.poly and not q.divides(s)]
     forbidden = [
         str(q)
         for q, _ in fact
-        if _intmath.is_prime((1 << int(q.degree)) - 1) and (1 << int(q.degree)) - 1 != p
+        if _intmath.is_mersenne_prime_exponent(int(q.degree)) and (1 << int(q.degree)) - 1 != p
     ]
     iff_bad = []
     for name, cond_p in (("M1", 3), ("M2", 7), ("M2b", 7)):
@@ -259,7 +258,7 @@ def check_degree_m_divisors(m: MersennePrime, p: int, seed: int = DEFAULT_SEED) 
     return _report("cor3.13", params, "pass" if ok else "fail", witness)
 
 
-def check_order_divides_degrees(m: MersennePrime, h: int, seed: int = DEFAULT_SEED) -> TheoremReport:
+def check_order_divides_degrees(m: MersennePrime, h: int) -> TheoremReport:
     """For prime p = 2h+1, ord_p(2) divides the degree of every prime
     factor of sigma(M^2h)."""
     p = 2 * h + 1
@@ -267,7 +266,7 @@ def check_order_divides_degrees(m: MersennePrime, h: int, seed: int = DEFAULT_SE
     if not _intmath.is_prime(p):
         return _report("lemma3.8", params, "out_of_scope", {"p": p})
     o = _intmath.multiplicative_order(2, p)
-    _, fact = _sigma_power_factored(m.poly.mask, 2 * h, seed)
+    _, fact = _sigma_power(m, 2 * h)
     bad = [str(q) for q, _ in fact if int(q.degree) % o]
     return _report("lemma3.8", params, "fail" if bad else "pass", {"ord": o, "violations": bad})
 
@@ -325,7 +324,7 @@ def check_primitivity(exhaustive=(2, 3, 5, 7), sampled_degree: int = 13, samples
     exhaustive for the small degrees, sampled at degree 13."""
     bad = []
     for r in exhaustive:
-        if not _intmath.is_prime((1 << r) - 1):
+        if not _intmath.is_mersenne_prime_exponent(r):
             raise ValueError(f"2^{r}-1 is not prime")
         for q in _irreducibles_of_degree(r):
             if not is_primitive(q):
@@ -342,13 +341,13 @@ def check_primitivity(exhaustive=(2, 3, 5, 7), sampled_degree: int = 13, samples
     return _report("lemma3.9", params, "fail" if bad else "pass", {"violations": bad})
 
 
-def explore_alpha_u6(m: MersennePrime, seed: int = DEFAULT_SEED) -> list[tuple[int, int]]:
+def explore_alpha_u6(m: MersennePrime) -> list[tuple[int, int]]:
     """Coefficients alpha_l of sigma(sigma(M^6)) for every l.
 
     Exploration only: the open question is whether some odd l always has
     alpha_l = 0 here.  Nothing is asserted.
     """
-    u6 = sigma(sigma(m.poly**6, seed), seed)
+    u6 = sigma(sigma(m.poly**6))
     return [(l, u6.alpha(l)) for l in range(int(u6.degree) + 1)]
 
 
@@ -372,61 +371,51 @@ CLAIM_IDS = tuple(sorted(_CHECKERS))
 
 
 def _run_task(task):
-    name, args, kwargs = task
-    return _CHECKERS[name](*args, **kwargs)
+    name, args = task
+    return _CHECKERS[name](*args)
 
 
-def _instances(max_mersenne_degree: int, max_h: int, seed: int, degree_budget: int):
-    tasks = [("lemma3.7", (), {}), ("lemma3.20", (), {}), ("lemma3.9", (), {})]
-    kw = {"seed": seed}
+def _instances(max_mersenne_degree: int, max_h: int, degree_budget: int):
+    tasks = [("lemma3.7", ()), ("lemma3.20", ()), ("lemma3.9", ())]
     for m in enumerate_mersenne_primes(max_mersenne_degree):
         for p in DESK_MERSENNE_NUMBERS:
             if (p - 1) * m.degree <= degree_budget:
-                tasks.append(("cor3.13", (m, p), kw))
-        tasks.append(("cor3.28", (m,), kw))
+                tasks.append(("cor3.13", (m, p)))
+        tasks.append(("cor3.28", (m,)))
         for h in range(1, max_h + 1):
             if 2 * h * m.degree > degree_budget:
                 break
-            tasks.append(("lemma3.2", (m, h), kw))
-            tasks.append(("thm1.2", (m, h), kw))
-            tasks.append(("cor3.6", (m, h), kw))
-            tasks.append(("lemma3.15", (m, h), kw))
+            tasks.append(("lemma3.2", (m, h)))
+            tasks.append(("thm1.2", (m, h)))
+            tasks.append(("cor3.6", (m, h)))
+            tasks.append(("lemma3.15", (m, h)))
             if (m.a, m.b) == (1, 2):
-                tasks.append(("cor3.17", (m, h), kw))
-            if _intmath.is_prime(2 * h + 1):
-                tasks.append(("lemma3.8", (m, h), kw))
-            for k in sorted(_divisors_int(2 * h + 1)):
-                tasks.append(("lemma3.4", (m, h, k), kw))
+                tasks.append(("cor3.17", (m, h)))
+            n = 2 * h + 1
+            if _intmath.is_prime(n):
+                tasks.append(("lemma3.8", (m, h)))
+            tasks += [("lemma3.4", (m, h, k)) for k in range(1, n + 1) if n % k == 0]
     return tasks
-
-
-def _divisors_int(n: int):
-    out = []
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            if d != n // d:
-                out.append(n // d)
-        d += 1
-    return out
 
 
 def run_all(
     max_mersenne_degree: int,
     max_h: int,
     *,
-    seed: int = DEFAULT_SEED,
     degree_budget: int = DEFAULT_DEGREE_BUDGET,
     jobs: int = 1,
     claim: str | None = None,
 ) -> list[TheoremReport]:
     """Sweep every checker over the in-budget grid; deterministic order."""
+    if jobs < 1:
+        raise ValueError(f"jobs must be at least 1, got {jobs}")
+    if degree_budget < 1:
+        raise ValueError(f"degree budget must be at least 1, got {degree_budget}")
     if max_mersenne_degree < 2 or max_h < 1:
         return []
     if claim is not None and claim not in CLAIM_IDS and claim not in ("thm1.2-i", "thm1.2-ii"):
         raise ValueError(f"unknown claim {claim!r}; known: {', '.join(CLAIM_IDS)}")
-    tasks = _instances(max_mersenne_degree, max_h, seed, degree_budget)
+    tasks = _instances(max_mersenne_degree, max_h, degree_budget)
     if claim is not None:
         base = "thm1.2" if claim.startswith("thm1.2") else claim
         tasks = [t for t in tasks if t[0] == base]

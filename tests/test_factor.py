@@ -80,9 +80,17 @@ def test_factorize_high_multiplicities():
     }
 
 
-def test_factorize_seed_determinism():
-    p = Poly(random.Random(4).getrandbits(100))
-    assert factorize(p, seed=99).factors == factorize(p, seed=2).factors
+def test_factorize_independent_of_cache_and_order():
+    from gf2perfect.factor import _factorize_cached
+
+    rng = random.Random(4)
+    polys = [Poly(rng.getrandbits(100) | 1) for _ in range(12)]
+    _factorize_cached.cache_clear()
+    forwards = [factorize(p).factors for p in polys]
+    _factorize_cached.cache_clear()
+    backwards = [factorize(p).factors for p in reversed(polys)][::-1]
+    assert forwards == backwards
+    assert [factorize(p).factors for p in polys] == forwards  # served from the cache
 
 
 def test_omega():

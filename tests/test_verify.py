@@ -179,6 +179,12 @@ def test_run_all_claim_filter():
         run_all(4, 2, claim="nope")
 
 
+@pytest.mark.parametrize("kwargs", [{"jobs": 0}, {"jobs": -1}, {"degree_budget": 0}, {"degree_budget": -5}])
+def test_run_all_rejects_bad_budgets(kwargs):
+    with pytest.raises(ValueError):
+        run_all(4, 2, **kwargs)
+
+
 def test_run_all_jobs_match_serial():
     serial = run_all(4, 2)
     parallel = run_all(4, 2, jobs=2)
