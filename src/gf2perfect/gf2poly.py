@@ -25,6 +25,10 @@ NEG_INFINITY = float("-inf")
 #: from the schoolbook loop to the windowed kernel.
 _MUL_WINDOW_CUTOVER = 1536
 
+#: Largest degree the parser builds; a larger power, product or hex mask
+#: raises BudgetError before it is computed.
+PARSE_DEGREE_CAP = 1 << 16
+
 
 class BudgetError(RuntimeError):
     """A computation was refused because it exceeds a configured cost cap."""
@@ -378,6 +382,11 @@ def _tokenize(text):
     return tokens
 
 
+def _check_parse_degree(degree):
+    if degree > PARSE_DEGREE_CAP:
+        raise BudgetError(f"polynomial degree {degree} exceeds the parse cap {PARSE_DEGREE_CAP}")
+
+
 class _Parser:
     # expr   := term ('+' term)*        ('-' accepted as '+': characteristic 2)
     # term   := factor (['*'] factor)*  (juxtaposition multiplies)
@@ -425,11 +434,11 @@ class _Parser:
             kind, text = self.peek()
             if text == "*":
                 self.take()
-                value = value * self.factor()
-            elif kind in self._ATOM_START or text == "(":
-                value = value * self.factor()
-            else:
+            elif kind not in self._ATOM_START and text != "(":
                 return value
+            rhs = self.factor()
+            _check_parse_degree(value.degree + rhs.degree)
+            value = value * rhs
 
     def factor(self):
         value = self.atom()
@@ -438,7 +447,9 @@ class _Parser:
             kind, text = self.take()
             if kind != "int":
                 raise ValueError("exponent must be a nonnegative integer")
-            value = value ** int(text)
+            n = int(text)
+            _check_parse_degree(max(value.degree, 0) * n)  # 0^n and 1^n stay valid
+            value = value**n
         return value
 
     def atom(self):
@@ -448,7 +459,9 @@ class _Parser:
             self.expect(")")
             return value
         if kind == "hex":
-            return Poly(int(text, 16))
+            value = Poly(int(text, 16))
+            _check_parse_degree(value.degree)
+            return value
         if kind == "int":
             if text == "0":
                 return ZERO
@@ -470,7 +483,8 @@ def parse(text: str, aliases=None) -> Poly:
 
     Accepts sums of monomials ('x^4+x^3+1'), products of parenthesized
     factors with integer exponents ('x^2(x+1)^3'), hex masks ('0x13',
-    bit i = coefficient of x^i), and optional named aliases.
+    bit i = coefficient of x^i), and optional named aliases.  Raises
+    BudgetError for an expression of degree above PARSE_DEGREE_CAP.
     """
     if not isinstance(text, str) or text.strip() == "":
         raise ValueError("empty polynomial expression")

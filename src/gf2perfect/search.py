@@ -1,12 +1,14 @@
 """Two independent searches for perfect and unitary-perfect polynomials.
 
 The structured search enumerates the family x^a (x+1)^b * prod P_i^h_i
-with every P_i a Mersenne prime, pruning each part by the requirement
-that its divisor sum factor into x, x+1 and Mersenne primes only (any
-prime of a part's divisor sum divides the whole polynomial, so nothing
-is lost).  The brute-force search sieves smallest prime factors over all
-coefficient masks and tests sigma(A) = A literally; it is the oracle the
-structured route is checked against at small degree.
+with every P_i a Mersenne prime.  Each part's divisor sum is factored
+once and packed into one integer exponent vector over x, x+1 and the
+Mersenne primes in range; a part whose divisor sum has any other prime
+is dropped (that prime would divide the whole polynomial, so nothing is
+lost).  The enumeration then only adds and compares integers.  The
+brute-force search sieves smallest prime factors over all coefficient
+masks and tests sigma(A) = A literally; it is the oracle the structured
+route is checked against at small degree.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from dataclasses import dataclass
 
 from .divisors import PerfectionReport, canonical_class_rep, check, is_indecomposable, sigma, sigma_star
 from .factor import factorize
-from .gf2poly import ONE, X, XP1, BudgetError, Poly, _divmod_mask, _mul_mask
+from .gf2poly import X, XP1, BudgetError, Poly, _divmod_mask, _mul_mask
 from .mersenne import catalog, enumerate_mersenne_primes, mersenne_form
 
 #: Hard guard for the exhaustive family=all search (2^(D+1) sigma values).
@@ -43,118 +45,92 @@ class SearchConfig:
             raise BudgetError(f"family=all search is guarded at degree {BRUTEFORCE_MAX_DEGREE}")
 
 
-def _is_mersenne_or_linear(fact) -> bool:
-    return all(p == X or p == XP1 or mersenne_form(p) is not None for p, _ in fact)
-
-
 def _part_sigma_table(cfg: SearchConfig):
-    """Divisor-sum factorizations for every admissible part.
+    """Packed divisor sums for every admissible part.
 
-    Returns (x_parts, xp1_parts, prime_parts) where each entry maps an
-    exponent to a {prime: mult} dict of the part's divisor sum, keeping
-    only parts whose divisor sum is a product of x, x+1 and Mersenne
-    primes.
+    Each prime the search can use gets a fixed index: x is 0, x+1 is 1
+    and the i-th Mersenne prime of degree <= max_degree - 2, in
+    (-degree, mask) order, is i + 2.  A part's divisor sum is stored as
+    the single int sum(mult << width * index); no field can carry, since
+    every multiplicity is at most the candidate's degree, at most
+    max_degree.  A part whose divisor sum has a prime outside the index
+    is dropped: that prime would have to divide the hit.
+
+    Returns (width, primes, x_parts, xp1_parts, prime_parts): the two
+    linear tables map an exponent to its packed sum, and prime_parts[i]
+    does the same for primes[i].
     """
     unitary = cfg.mode == "unitary"
+    primes = []
+    if cfg.max_degree >= 4:  # smallest candidate with an odd part is x(x+1)M1
+        found = enumerate_mersenne_primes(cfg.max_degree - 2)
+        primes = sorted((m.poly for m in found), key=lambda p: (-p.degree, p.mask))
+    width = cfg.max_degree.bit_length() + 1
+    shift = {p: width * i for i, p in enumerate([X, XP1, *primes])}
 
     def part_sum(base: Poly, e: int):
         value = sigma_star(base**e) if unitary else sigma(base**e)
-        fact = factorize(value)
-        if not _is_mersenne_or_linear(fact):
-            return None
-        return dict(fact.factors)
+        packed = 0
+        for p, m in factorize(value):
+            if p not in shift:
+                return None
+            packed += m << shift[p]
+        return packed
 
-    x_parts = {}
-    xp1_parts = {}
-    for e in range(1, cfg.max_degree - 1 + 1):
-        fx = part_sum(X, e)
-        if fx is not None:
-            x_parts[e] = fx
-        f1 = part_sum(XP1, e)
-        if f1 is not None:
-            xp1_parts[e] = f1
-    prime_parts = {}
-    if cfg.max_degree >= 4:  # smallest candidate with an odd part is x(x+1)M1
-        for m in enumerate_mersenne_primes(cfg.max_degree - 2):
-            table = {}
-            for h in range(1, (cfg.max_degree - 2) // m.degree + 1):
-                fp = part_sum(m.poly, h)
-                if fp is not None:
-                    table[h] = fp
-            if table:
-                prime_parts[m.poly] = table
-    return x_parts, xp1_parts, prime_parts
+    def table(base: Poly, top: int):
+        return {e: s for e in range(1, top + 1) if (s := part_sum(base, e)) is not None}
 
-
-def _merge(*dicts):
-    out: dict[Poly, int] = {}
-    for d in dicts:
-        for p, m in d.items():
-            out[p] = out.get(p, 0) + m
-    return out
+    x_parts = table(X, cfg.max_degree - 1)
+    xp1_parts = table(XP1, cfg.max_degree - 1)
+    prime_parts = [table(p, (cfg.max_degree - 2) // p.degree) for p in primes]
+    return width, primes, x_parts, xp1_parts, prime_parts
 
 
 def search_structured(cfg: SearchConfig) -> list[tuple[Poly, PerfectionReport]]:
     """All (unitary) perfect polynomials of the Mersenne-restricted family.
 
-    A candidate x^a (x+1)^b * prod P_i^h_i is perfect iff the factored
-    divisor sums of its parts multiply out to the candidate's own prime
-    multiset, so each candidate costs one multiset comparison; the two
-    linear exponents are forced by the x- and (x+1)-valuations of the
-    odd part's divisor sums, which cuts the (a, b) scan to a handful of
-    consistency probes.
+    A candidate x^a (x+1)^b * prod P_i^h_i is perfect iff the divisor
+    sums of its parts multiply out to the candidate's own prime multiset.
+    With both sides packed as exponent vectors (see _part_sigma_table)
+    a part is added with +, and the test is one integer comparison.  The
+    odd part's sums fix b from a through the (x+1) field, so each odd
+    part costs one probe per admissible a; a Poly is built only for a hit.
     """
     if cfg.family != "mersenne_restricted":
         raise ValueError("structured search runs on the mersenne_restricted family")
-    x_parts, xp1_parts, prime_parts = _part_sigma_table(cfg)
-    primes = sorted(prime_parts, key=lambda p: (-p.degree, p.mask))
-    degrees = [int(p.degree) for p in primes]
-
-    def val(d, at):
-        return sum(m * p.valuation(at) for p, m in d.items()) if d else 0
-
+    width, primes, x_parts, xp1_parts, prime_parts = _part_sigma_table(cfg)
+    field = (1 << width) - 1
+    degrees = [p.degree for p in primes]
+    x_probes = [(a, fx, fx >> width & field) for a, fx in x_parts.items()]
     hits = []
 
-    def try_odd_part(chosen):
-        odd = {p: h for p, h in chosen}
-        sums = _merge(*(prime_parts[p][h] for p, h in chosen)) if chosen else {}
-        vx = val(sums, X)
-        vx1 = val(sums, XP1)
-        odd_degree = sum(h * int(p.degree) for p, h in chosen)
-        for a, fx in x_parts.items():
-            b = vx1 + val(fx, XP1)
-            if b not in xp1_parts or a + b + odd_degree > cfg.max_degree:
-                continue
-            f1 = xp1_parts[b]
-            if a != vx + val(f1, X):
-                continue
-            total = _merge(sums, fx, f1)
-            want = dict(odd)
-            want[X] = want.get(X, 0) + a
-            want[XP1] = want.get(XP1, 0) + b
-            if total == want:
-                poly = (XP1**b << a) * _product(odd)
-                hits.append(poly)
+    def hit(a, b, odd):
+        poly = XP1**b << a
+        for i, p in enumerate(primes):
+            h = odd >> width * (i + 2) & field
+            if h:
+                poly = poly * p**h
+        return poly
 
-    def _product(exps):
-        out = ONE
-        for p, h in exps.items():
-            out = out * p**h
-        return out
-
-    def extend(i, budget, chosen):
-        try_odd_part(chosen)
+    def extend(i, budget, sums, odd):
+        # budget is max_degree - 2 minus the odd part's degree
+        vx1 = sums >> width & field
+        for a, fx, fx_xp1 in x_probes:
+            b = vx1 + fx_xp1
+            f1 = xp1_parts.get(b)
+            if f1 is None or a + b > budget + 2:
+                continue
+            if sums + fx + f1 == odd + a + (b << width):
+                hits.append(hit(a, b, odd))
         for j in range(i, len(primes)):
             d = degrees[j]
             if d > budget:
                 continue
-            for h in prime_parts[primes[j]]:
+            for h, s in prime_parts[j].items():
                 if h * d <= budget:
-                    chosen.append((primes[j], h))
-                    extend(j + 1, budget - h * d, chosen)
-                    chosen.pop()
+                    extend(j + 1, budget - h * d, sums + s, odd + (h << width * (j + 2)))
 
-    extend(0, cfg.max_degree - 2, [])
+    extend(0, cfg.max_degree - 2, 0, 0)
     hits.sort()
     return [(p, check(p, cfg.mode)) for p in hits]
 

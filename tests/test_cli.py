@@ -61,6 +61,15 @@ def test_malformed_polynomial(capsys):
     assert run_cli(capsys, "sigma", "unknown_name")[0] == 2
 
 
+def test_parse_degree_cap_exits_2(capsys):
+    code = main(["factor", "x^2000000"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error:") and "Traceback" not in captured.err
+    assert captured.err.count("\n") == 1
+
+
 def test_unknown_subcommand(capsys):
     assert main(["no-such-command"]) == 2
 

@@ -1,13 +1,16 @@
 import random
+import time
 
 import pytest
 
 from gf2perfect.gf2poly import (
     NEG_INFINITY,
     ONE,
+    PARSE_DEGREE_CAP,
     X,
     XP1,
     ZERO,
+    BudgetError,
     Poly,
     _mul_schoolbook,
     _mul_windowed,
@@ -243,6 +246,21 @@ def test_parse_errors():
     for bad in ("", "  ", "x^", "2x", "x+", "y", "(x+1", "x^2++1", "x^-1"):
         with pytest.raises(ValueError):
             parse(bad)
+
+
+def test_parse_degree_cap():
+    assert PARSE_DEGREE_CAP == 1 << 16
+    too_big = ["x^2000000", "(x+1)^70000", "x^40000*x^40000", "x^40000 x^40000", "0x" + "f" * 16400]
+    for text in too_big:
+        start = time.perf_counter()
+        with pytest.raises(BudgetError):
+            parse(text)
+        assert time.perf_counter() - start < 1.0
+    assert parse("x^65536") == Poly.monomial(PARSE_DEGREE_CAP)
+    assert parse("x^32768*x^32768") == Poly.monomial(PARSE_DEGREE_CAP)
+    assert parse("0^99999999999") == ZERO
+    assert parse("1^99999999999") == ONE
+    assert parse("0*x^40000*x^40000") == ZERO
 
 
 def test_poly_immutable_and_hashable():

@@ -1,11 +1,12 @@
 import pytest
 
-from gf2perfect.divisors import sigma, sigma_star
+from gf2perfect.divisors import canonical_class_rep, sigma, sigma_star
 from gf2perfect.factor import factorize
 from gf2perfect.gf2poly import X, XP1, BudgetError, Poly, parse
 from gf2perfect.mersenne import catalog, mersenne_form
 from gf2perfect.search import (
     SearchConfig,
+    _part_sigma_table,
     classify_hits,
     search_bruteforce,
     search_structured,
@@ -69,9 +70,48 @@ def test_structured_vs_bruteforce_degree_12():
 
 
 def test_monotone_budgets():
-    small = {p for p, _ in search_structured(SearchConfig(max_degree=10, mode="unitary"))}
-    large = {p for p, _ in search_structured(SearchConfig(max_degree=16, mode="unitary"))}
-    assert small <= large
+    # (15, 16) and (31, 32) straddle a step of the packed field width
+    for mode in ("perfect", "unitary"):
+        for lo, hi in ((10, 16), (15, 16), (31, 32)):
+            small = search_structured(SearchConfig(max_degree=lo, mode=mode))
+            large = search_structured(SearchConfig(max_degree=hi, mode=mode))
+            assert {p for p, _ in small} <= {p for p, _ in large}
+            assert all(report.verdict for _, report in small + large)
+
+
+def test_packed_part_sums_decode():
+    # every packed divisor sum unpacks to the factorization it was built from
+    for mode in ("perfect", "unitary"):
+        divisor_sum = sigma if mode == "perfect" else sigma_star
+        for degree in (15, 16, 31, 32):
+            width, primes, x_parts, xp1_parts, prime_parts = _part_sigma_table(SearchConfig(degree, mode))
+            index = [X, XP1, *primes]
+            tables = [(X, x_parts), (XP1, xp1_parts), *zip(primes, prime_parts)]
+            for base, table in tables:
+                for e, packed in table.items():
+                    fields = [packed >> width * i & ((1 << width) - 1) for i in range(len(index))]
+                    assert packed >> width * len(index) == 0
+                    assert {p: m for p, m in zip(index, fields) if m} == dict(factorize(divisor_sum(base**e)).factors)
+
+
+def test_classification_at_degree_40():
+    def classes(mode):
+        hits = [p for p, _ in search_structured(SearchConfig(max_degree=40, mode=mode))]
+        return classify_hits(hits, mode).classes
+
+    perfect = classes("perfect")
+    trivial = {(X * XP1) ** (2**n - 1) for n in range(1, 5)}  # degree 2, 6, 14, 30
+    known = {CAT.lookup(f"T{i}") for i in range(1, 10)}
+    assert len(perfect) == 13
+    assert {c.rep for c in perfect} == trivial | known
+
+    unitary = classes("unitary")
+    known = {canonical_class_rep(CAT.lookup(f"B{i}")) for i in range(1, 10)}
+    assert len(unitary) == 10
+    assert {c.rep for c in unitary} == {X * XP1} | known
+
+    for c in perfect + unitary:
+        assert (c.in_catalog or c.trivial) and not c.outside_scope
 
 
 def test_bar_closure_of_hits():
