@@ -1,7 +1,8 @@
 """Exact divisor-sum arithmetic and perfect-polynomial search over GF(2)."""
 
-from .gf2poly import NEG_INFINITY, ONE, X, XP1, ZERO, BudgetError, Poly, bar, div_rem, format_poly, gcd, parse
-from .factor import Factorization, count_irreducibles, euler_phi, factorize, is_irreducible, is_primitive, is_squarefree, omega
+from .gf2poly import NEG_INFINITY, ONE, X, XP1, ZERO, BudgetError, Poly, format_poly, gcd, parse
+from ._intmath import euler_phi
+from .factor import Factorization, count_irreducibles, factorize, is_irreducible, is_primitive, is_squarefree, omega
 from .divisors import PerfectionReport, exact_power, is_perfect, is_unitary_perfect, sigma, sigma_star
 from .mersenne import Catalog, MersennePrime, catalog, enumerate_mersenne_primes, in_delta, is_mersenne_prime, mersenne_poly, ord2, parse_named
 

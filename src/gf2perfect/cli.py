@@ -4,6 +4,8 @@ Subcommands mirror the library modules: factor, sigma, check, mersenne,
 verify, search and explore-p7.  Polynomials are written as expressions
 ("x^4+x^3+1", "x^2(x+1)^3M1"), hex coefficient masks ("0x13") or catalog
 names (M1..M3, M2b/M3b, T1..T9, B1..B9, S1, S2; underscores optional).
+`search --family mersenne` runs the structured search, `--family all`
+the brute-force oracle (degree <= 18); classify_hits groups the hits.
 
 Exit codes: 0 success or all checks passed, 1 a verdict failed, 2 usage
 or input error (a verify sweep that yields no pass or fail verdict is
@@ -19,19 +21,11 @@ import sys
 from . import divisors, search, verify
 from .factor import factorize
 from .gf2poly import BudgetError, Poly
-from .mersenne import catalog, enumerate_mersenne_primes, is_mersenne_prime
-
-def _poly_arg(text: str) -> Poly:
-    p = catalog().aliases().get(text.replace("_", ""))
-    if p is None:
-        from .gf2poly import parse
-
-        p = parse(text, aliases=catalog().aliases())
-    return p
+from .mersenne import catalog, enumerate_mersenne_primes, parse_named
 
 
 def _nonzero_poly_arg(text: str) -> Poly:
-    p = _poly_arg(text)
+    p = parse_named(text)
     if not p:
         raise ValueError("the zero polynomial is not a valid input here")
     return p
@@ -163,13 +157,9 @@ def _cmd_verify(args):
 
 
 def _cmd_search(args):
-    family = "mersenne_restricted" if args.family == "mersenne" else "all"
-    cfg = search.SearchConfig(max_degree=args.max_degree, mode=args.mode, family=family)
-    if family == "all":
-        hits = search.search_bruteforce(cfg)
-    else:
-        hits = [p for p, _ in search.search_structured(cfg)]
-    report = search.classify_hits(hits, args.mode)
+    cfg = search.SearchConfig(max_degree=args.max_degree, mode=args.mode)
+    run = search.search_bruteforce if args.family == "all" else search.search_structured
+    report = search.classify_hits(run(cfg), args.mode)
     lines = []
     if args.all_powers:
         shown = [(member, cls) for cls in report.classes for member in cls.members]
@@ -196,12 +186,7 @@ def _cmd_search(args):
 
 def _cmd_explore_p7(args):
     p = _nonzero_poly_arg(args.poly)
-    witness = is_mersenne_prime(p)
-    if witness is None:
-        raise ValueError(f"{p} is not a Mersenne prime")
-    from .mersenne import MersennePrime
-
-    coeffs = verify.explore_alpha_u6(MersennePrime(witness[0], witness[1], p))
+    coeffs = verify.explore_alpha_u6(catalog().mersenne_witness(p))
     if args.odd_only:
         coeffs = [(l, c) for l, c in coeffs if l % 2]
     if args.format == "json":

@@ -30,7 +30,6 @@ class Factorization:
     representation is plain mask order.
     """
 
-    original: Poly
     factors: tuple[tuple[Poly, int], ...]
 
     def __iter__(self):
@@ -184,7 +183,7 @@ def _factorize_cached(mask: int) -> Factorization:
         f = (f // w).sqrt()
         scale *= 2
     ordered = tuple(sorted(counts.items()))
-    return Factorization(original=p, factors=ordered)
+    return Factorization(factors=ordered)
 
 
 def factorize(p: Poly) -> Factorization:
@@ -231,11 +230,6 @@ def count_irreducibles(m: int) -> int:
         mu = -1 if len(kf) % 2 else 1
         total += mu * (1 << d)
     return total // m
-
-
-def euler_phi(m: int) -> int:
-    """Euler totient of m."""
-    return _intmath.euler_phi(m)
 
 
 def order_of_x(p: Poly) -> int:

@@ -29,6 +29,9 @@ _MUL_WINDOW_CUTOVER = 1536
 #: raises BudgetError before it is computed.
 PARSE_DEGREE_CAP = 1 << 16
 
+# deepest parenthesis nesting parsed: four stack frames a level, well inside the recursion limit
+_MAX_NESTING = 100
+
 
 class BudgetError(RuntimeError):
     """A computation was refused because it exceeds a configured cost cap."""
@@ -327,21 +330,11 @@ X = Poly(2)
 XP1 = Poly(3)
 
 
-def div_rem(p: Poly, d: Poly) -> tuple[Poly, Poly]:
-    """Quotient and remainder with deg r < deg d; d must be nonzero."""
-    return divmod(p, d)
-
-
 def gcd(p: Poly, q: Poly) -> Poly:
     """Greatest common divisor; undefined for two zero inputs."""
     if not p and not q:
         raise ValueError("gcd(0, 0) is undefined")
     return Poly(_gcd_mask(p.mask, q.mask))
-
-
-def bar(p: Poly) -> Poly:
-    """The conjugate polynomial p(x+1)."""
-    return p.bar()
 
 
 def format_poly(p: Poly) -> str:
@@ -398,6 +391,7 @@ class _Parser:
     def __init__(self, tokens, aliases):
         self.tokens = tokens
         self.pos = 0
+        self.depth = 0
         self.aliases = aliases or {}
 
     def peek(self):
@@ -409,11 +403,6 @@ class _Parser:
         tok = self.peek()
         self.pos += 1
         return tok
-
-    def expect(self, value):
-        kind, text = self.take()
-        if text != value:
-            raise ValueError(f"expected {value!r} in polynomial expression")
 
     def parse(self):
         value = self.expr()
@@ -447,16 +436,27 @@ class _Parser:
             kind, text = self.take()
             if kind != "int":
                 raise ValueError("exponent must be a nonnegative integer")
-            n = int(text)
-            _check_parse_degree(max(value.degree, 0) * n)  # 0^n and 1^n stay valid
+            digits = text.lstrip("0")
+            if value.degree < 1:  # 0^n and 1^n stay valid for any n
+                return value if digits else ONE
+            if len(digits) > len(str(PARSE_DEGREE_CAP)):  # before int() sees a long string
+                bound = f"10^{len(digits) - 1}"
+                raise BudgetError(f"polynomial degree of at least {bound} exceeds the parse cap {PARSE_DEGREE_CAP}")
+            n = int(digits or "0")
+            _check_parse_degree(value.degree * n)
             value = value**n
         return value
 
     def atom(self):
         kind, text = self.take()
         if text == "(":
+            self.depth += 1
+            if self.depth > _MAX_NESTING:
+                raise ValueError(f"parentheses nested deeper than {_MAX_NESTING} levels")
             value = self.expr()
-            self.expect(")")
+            if self.take()[1] != ")":
+                raise ValueError("expected ')' in polynomial expression")
+            self.depth -= 1
             return value
         if kind == "hex":
             value = Poly(int(text, 16))
@@ -484,7 +484,8 @@ def parse(text: str, aliases=None) -> Poly:
     Accepts sums of monomials ('x^4+x^3+1'), products of parenthesized
     factors with integer exponents ('x^2(x+1)^3'), hex masks ('0x13',
     bit i = coefficient of x^i), and optional named aliases.  Raises
-    BudgetError for an expression of degree above PARSE_DEGREE_CAP.
+    BudgetError for an expression of degree above PARSE_DEGREE_CAP and
+    ValueError for parentheses nested more than 100 deep.
     """
     if not isinstance(text, str) or text.strip() == "":
         raise ValueError("empty polynomial expression")

@@ -174,9 +174,6 @@ class Catalog:
         except KeyError:
             raise ValueError(f"unknown catalog name {name!r}") from None
 
-    def names(self) -> tuple[str, ...]:
-        return tuple(self._entries)
-
     def aliases(self) -> dict[str, Poly]:
         return dict(self._entries)
 
@@ -185,9 +182,6 @@ class Catalog:
         if form is None:
             raise ValueError(f"{p} is not a Mersenne prime")
         return MersennePrime(form[0], form[1], p)
-
-    def __contains__(self, name: str) -> bool:
-        return name.replace("_", "") in self._entries
 
 
 @cache

@@ -8,7 +8,8 @@ is dropped (that prime would divide the whole polynomial, so nothing is
 lost).  The enumeration then only adds and compares integers.  The
 brute-force search sieves smallest prime factors over all coefficient
 masks and tests sigma(A) = A literally; it is the oracle the structured
-route is checked against at small degree.
+route is checked against up to BRUTEFORCE_MAX_DEGREE.  Both return
+the sorted hits; classify_hits groups and flags them.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from __future__ import annotations
 from array import array
 from dataclasses import dataclass
 
-from .divisors import PerfectionReport, canonical_class_rep, check, is_indecomposable, sigma, sigma_star
+from .divisors import canonical_class_rep, is_indecomposable, sigma, sigma_star
 from .factor import factorize
 from .gf2poly import X, XP1, BudgetError, Poly, _divmod_mask, _mul_mask
 from .mersenne import catalog, enumerate_mersenne_primes, mersenne_form
@@ -25,24 +26,18 @@ from .mersenne import catalog, enumerate_mersenne_primes, mersenne_form
 BRUTEFORCE_MAX_DEGREE = 18
 
 MODES = ("perfect", "unitary")
-FAMILIES = ("mersenne_restricted", "all")
 
 
 @dataclass(frozen=True)
 class SearchConfig:
     max_degree: int
     mode: str = "perfect"
-    family: str = "mersenne_restricted"
 
     def __post_init__(self):
         if self.max_degree < 1:
             raise ValueError("max_degree must be positive")
         if self.mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}")
-        if self.family not in FAMILIES:
-            raise ValueError(f"family must be one of {FAMILIES}")
-        if self.family == "all" and self.max_degree > BRUTEFORCE_MAX_DEGREE:
-            raise BudgetError(f"family=all search is guarded at degree {BRUTEFORCE_MAX_DEGREE}")
 
 
 def _part_sigma_table(cfg: SearchConfig):
@@ -86,8 +81,8 @@ def _part_sigma_table(cfg: SearchConfig):
     return width, primes, x_parts, xp1_parts, prime_parts
 
 
-def search_structured(cfg: SearchConfig) -> list[tuple[Poly, PerfectionReport]]:
-    """All (unitary) perfect polynomials of the Mersenne-restricted family.
+def search_structured(cfg: SearchConfig) -> list[Poly]:
+    """All (unitary) perfect polynomials of the Mersenne-restricted family, sorted.
 
     A candidate x^a (x+1)^b * prod P_i^h_i is perfect iff the divisor
     sums of its parts multiply out to the candidate's own prime multiset.
@@ -96,8 +91,6 @@ def search_structured(cfg: SearchConfig) -> list[tuple[Poly, PerfectionReport]]:
     odd part's sums fix b from a through the (x+1) field, so each odd
     part costs one probe per admissible a; a Poly is built only for a hit.
     """
-    if cfg.family != "mersenne_restricted":
-        raise ValueError("structured search runs on the mersenne_restricted family")
     width, primes, x_parts, xp1_parts, prime_parts = _part_sigma_table(cfg)
     field = (1 << width) - 1
     degrees = [p.degree for p in primes]
@@ -132,7 +125,7 @@ def search_structured(cfg: SearchConfig) -> list[tuple[Poly, PerfectionReport]]:
 
     extend(0, cfg.max_degree - 2, 0, 0)
     hits.sort()
-    return [(p, check(p, cfg.mode)) for p in hits]
+    return hits
 
 
 def _sieve_masks(max_degree: int):
@@ -188,8 +181,8 @@ def _geometric_sum(p, pe):
 
 def search_bruteforce(cfg: SearchConfig) -> list[Poly]:
     """Exhaustive scan of every polynomial of degree <= max_degree."""
-    if cfg.family != "all":
-        raise ValueError("brute force runs on family=all")
+    if cfg.max_degree > BRUTEFORCE_MAX_DEGREE:
+        raise BudgetError(f"family=all search is guarded at degree {BRUTEFORCE_MAX_DEGREE}")
     table = _divisor_sum_tables(cfg.max_degree, cfg.mode == "unitary")
     return [Poly(m) for m in range(2, 1 << (cfg.max_degree + 1)) if table[m] == m]
 
@@ -205,20 +198,9 @@ class HitClass:
     outside_scope: bool  # divisible by a non-Mersenne odd prime
     decomposable: bool
 
-    def to_json_obj(self):
-        return {
-            "rep": str(self.rep),
-            "members": [str(m) for m in self.members],
-            "trivial": self.trivial,
-            "in_catalog": self.in_catalog,
-            "outside_scope": self.outside_scope,
-            "decomposable": self.decomposable,
-        }
-
 
 @dataclass(frozen=True)
 class ClassificationReport:
-    mode: str
     classes: tuple[HitClass, ...]
 
     @property
@@ -227,9 +209,6 @@ class ClassificationReport:
 
     def nontrivial(self) -> tuple[HitClass, ...]:
         return tuple(c for c in self.classes if not c.trivial)
-
-    def to_json_obj(self):
-        return {"mode": self.mode, "classes": [c.to_json_obj() for c in self.classes]}
 
 
 def classify_hits(hits, mode: str) -> ClassificationReport:
@@ -267,4 +246,4 @@ def classify_hits(hits, mode: str) -> ClassificationReport:
                 decomposable=not is_indecomposable(groups[rep][0], mode),
             )
         )
-    return ClassificationReport(mode=mode, classes=tuple(classes))
+    return ClassificationReport(classes=tuple(classes))

@@ -15,13 +15,15 @@ since the hypothesis boundary is where transcription slips would hide.
 from __future__ import annotations
 
 import json
+import os
 import random
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 from . import _intmath
+from ._intmath import euler_phi
 from .divisors import sigma
-from .factor import count_irreducibles, euler_phi, factorize, is_irreducible, is_primitive
+from .factor import count_irreducibles, factorize, is_irreducible, is_primitive
 from .gf2poly import ONE, X, XP1, Poly
 from .mersenne import MersennePrime, catalog, enumerate_mersenne_primes, in_delta, mersenne_form
 
@@ -30,6 +32,13 @@ DEFAULT_DEGREE_BUDGET = 2048
 
 #: Mersenne prime numbers 2^m - 1 accepted by check_degree_m_divisors.
 DESK_MERSENNE_NUMBERS = (3, 7, 31)
+
+# ranges of lemma3.7, lemma3.20 and lemma3.9, which each run once per sweep
+_COUNTING_MAX_M = 24
+_MULTIPLE_8_DEGREES = (8, 16, 24)
+_PRIMITIVE_EXHAUSTIVE_DEGREES = (2, 3, 5, 7)
+_PRIMITIVE_SAMPLED_DEGREE = 13
+_PRIMITIVE_SAMPLES = 12
 
 
 @dataclass(frozen=True)
@@ -49,10 +58,6 @@ class TheoremReport:
 
     def sort_key(self):
         return (self.claim_id, json.dumps(self.params, sort_keys=True))
-
-
-def _report(claim, params, verdict, witness=None):
-    return TheoremReport(claim, params, verdict, witness)
 
 
 def _m_params(m: MersennePrime, **extra):
@@ -84,7 +89,7 @@ def check_squarefree(m: MersennePrime, h: int) -> TheoremReport:
     _, fact = _sigma_power(m, 2 * h)
     params = _m_params(m, h=h)
     verdict = "pass" if fact.is_squarefree else "fail"
-    return _report("lemma3.2", params, verdict, {"multiplicities": [mu for _, mu in fact]})
+    return TheoremReport("lemma3.2", params, verdict, {"multiplicities": [mu for _, mu in fact]})
 
 
 def check_sigma_even_power(m: MersennePrime, h: int) -> TheoremReport:
@@ -108,7 +113,7 @@ def check_sigma_even_power(m: MersennePrime, h: int) -> TheoremReport:
         "non_mersenne_factors": [str(p) for p in other],
     }
     if not fact.is_squarefree:
-        return _report("thm1.2", params, "fail", witness)
+        return TheoremReport("thm1.2", params, "fail", witness)
     if m.poly in cat.mersennes:
         claim = "thm1.2-i"
         cubic = (m.a, m.b) in ((1, 2), (2, 1))
@@ -119,8 +124,8 @@ def check_sigma_even_power(m: MersennePrime, h: int) -> TheoremReport:
         witness["delta_primes"] = hits
         applicable = bool(hits)
     if not applicable:
-        return _report(claim, params, "out_of_scope", witness)
-    return _report(claim, params, "pass" if other else "fail", witness)
+        return TheoremReport(claim, params, "out_of_scope", witness)
+    return TheoremReport(claim, params, "pass" if other else "fail", witness)
 
 
 def check_U_split_square(m: MersennePrime, h: int) -> TheoremReport:
@@ -146,9 +151,9 @@ def check_U_split_square(m: MersennePrime, h: int) -> TheoremReport:
     }
     params = _m_params(m, h=h)
     if other:
-        return _report("cor3.6", params, "out_of_scope", witness)
+        return TheoremReport("cor3.6", params, "out_of_scope", witness)
     ok = splits and u % 2 == 0 and v % 2 == 0 and u2h.is_square() and len(fact) > 1
-    return _report("cor3.6", params, "pass" if ok else "fail", witness)
+    return TheoremReport("cor3.6", params, "pass" if ok else "fail", witness)
 
 
 def check_p_reduction(m: MersennePrime, h: int, k: int) -> TheoremReport:
@@ -158,7 +163,7 @@ def check_p_reduction(m: MersennePrime, h: int, k: int) -> TheoremReport:
     s, _ = _sigma_power(m, 2 * h)
     small = sigma(m.poly ** (k - 1)) if k > 1 else ONE
     params = _m_params(m, h=h, k=k)
-    return _report("lemma3.4", params, "pass" if small.divides(s) else "fail")
+    return TheoremReport("lemma3.4", params, "pass" if small.divides(s) else "fail")
 
 
 def check_alpha_ranges(m: MersennePrime, h: int) -> TheoremReport:
@@ -171,7 +176,7 @@ def check_alpha_ranges(m: MersennePrime, h: int) -> TheoremReport:
     bad = [l for l in range(d) if s.alpha(l) != high.alpha(l)]
     bad += [l for l in range(d, 2 * d) if s.alpha(l) != mixed.alpha(l)]
     params = _m_params(m, h=h)
-    return _report("lemma3.15", params, "fail" if bad else "pass", {"mismatched_l": bad})
+    return TheoremReport("lemma3.15", params, "fail" if bad else "pass", {"mismatched_l": bad})
 
 
 def check_alpha3_u2h(m: MersennePrime, h: int) -> TheoremReport:
@@ -190,9 +195,9 @@ def check_alpha3_u2h(m: MersennePrime, h: int) -> TheoremReport:
     p = 2 * h + 1
     applicable = (m.a, m.b) == (1, 2) and _intmath.is_prime(p) and p not in (3, 5, 7)
     if not applicable:
-        return _report("cor3.17", params, "out_of_scope", witness)
+        return TheoremReport("cor3.17", params, "out_of_scope", witness)
     ok = u2h.alpha(3) == 1 and low.alpha(3) == 1 and low.alpha(1) == 0
-    return _report("cor3.17", params, "pass" if ok else "fail", witness)
+    return TheoremReport("cor3.17", params, "pass" if ok else "fail", witness)
 
 
 def check_alpha3_u2(m: MersennePrime) -> TheoremReport:
@@ -210,20 +215,9 @@ def check_alpha3_u2(m: MersennePrime) -> TheoremReport:
     }
     params = _m_params(m)
     if m.poly in cat.mersennes or len(fact) < 3:
-        return _report("cor3.28", params, "out_of_scope", witness)
+        return TheoremReport("cor3.28", params, "out_of_scope", witness)
     ok = u2.alpha(3) == 1 and s.alpha(3) == 0 and witness["trinomial_divides"]
-    return _report("cor3.28", params, "pass" if ok else "fail", witness)
-
-
-def check_alpha_lemmas(m: MersennePrime, h: int) -> TheoremReport:
-    """Bundle of the coefficient checks for one (M, h) instance: the two
-    agreement ranges plus, where applicable, the two alpha_3 facts."""
-    parts = [check_alpha_ranges(m, h), check_alpha3_u2h(m, h)]
-    if h == 1:
-        parts.append(check_alpha3_u2(m))
-    verdict = "fail" if any(p.verdict == "fail" for p in parts) else "pass"
-    witness = {p.claim_id: {"verdict": p.verdict, **(p.witness or {})} for p in parts}
-    return _report("alpha-lemmas", _m_params(m, h=h), verdict, witness)
+    return TheoremReport("cor3.28", params, "pass" if ok else "fail", witness)
 
 
 def _irreducibles_of_degree(r: int):
@@ -255,7 +249,7 @@ def check_degree_m_divisors(m: MersennePrime, p: int) -> TheoremReport:
     params = _m_params(m, p=p)
     witness = {"missing_degree_r": missing, "forbidden_factors": forbidden, "iff_violations": iff_bad}
     ok = not missing and not forbidden and not iff_bad
-    return _report("cor3.13", params, "pass" if ok else "fail", witness)
+    return TheoremReport("cor3.13", params, "pass" if ok else "fail", witness)
 
 
 def check_order_divides_degrees(m: MersennePrime, h: int) -> TheoremReport:
@@ -264,11 +258,11 @@ def check_order_divides_degrees(m: MersennePrime, h: int) -> TheoremReport:
     p = 2 * h + 1
     params = _m_params(m, h=h)
     if not _intmath.is_prime(p):
-        return _report("lemma3.8", params, "out_of_scope", {"p": p})
+        return TheoremReport("lemma3.8", params, "out_of_scope", {"p": p})
     o = _intmath.multiplicative_order(2, p)
     _, fact = _sigma_power(m, 2 * h)
     bad = [str(q) for q, _ in fact if int(q.degree) % o]
-    return _report("lemma3.8", params, "fail" if bad else "pass", {"ord": o, "violations": bad})
+    return TheoremReport("lemma3.8", params, "fail" if bad else "pass", {"ord": o, "violations": bad})
 
 
 def _exceeds_isqrt_bound(n2: int, m: int) -> bool:
@@ -279,11 +273,12 @@ def _exceeds_isqrt_bound(n2: int, m: int) -> bool:
     return 4 * (1 << m) >= rhs * rhs
 
 
-def check_counting(max_m: int = 24) -> TheoremReport:
-    """Counting facts for irreducibles of degree m <= max_m: the necklace
+def check_counting() -> TheoremReport:
+    """Counting facts for irreducibles of degree m <= 24: the necklace
     count satisfies the root-counting identity, exceeds the totient from
     degree 4 on, meets the standard lower bound, and bounds the number of
     Mersenne primes per degree by the totient."""
+    max_m = _COUNTING_MAX_M
     bad = []
     mers_by_degree = {}
     for mp in enumerate_mersenne_primes(max_m):
@@ -302,43 +297,40 @@ def check_counting(max_m: int = 24) -> TheoremReport:
     if pinned != (3, 6, 2, 4):
         bad.append(f"pinned values {pinned}")
     witness = {"max_m": max_m, "violations": bad}
-    return _report("lemma3.7", {"max_m": max_m}, "fail" if bad else "pass", witness)
+    return TheoremReport("lemma3.7", {"max_m": max_m}, "fail" if bad else "pass", witness)
 
 
-def check_no_mersenne_degree_multiple_8(degrees=(8, 16, 24)) -> TheoremReport:
-    """No Mersenne prime exists in any degree that is a multiple of 8."""
+def check_no_mersenne_degree_multiple_8() -> TheoremReport:
+    """No Mersenne prime exists in degree 8, 16 or 24."""
     found = []
-    for d in degrees:
-        if d % 8:
-            raise ValueError("degrees must be multiples of 8")
+    for d in _MULTIPLE_8_DEGREES:
         for a in range(1, d):
             p = ((XP1 ** (d - a)) << a) + ONE
             if is_irreducible(p):
                 found.append(str(p))
-    params = {"degrees": list(degrees)}
-    return _report("lemma3.20", params, "fail" if found else "pass", {"found": found})
+    params = {"degrees": list(_MULTIPLE_8_DEGREES)}
+    return TheoremReport("lemma3.20", params, "fail" if found else "pass", {"found": found})
 
 
-def check_primitivity(exhaustive=(2, 3, 5, 7), sampled_degree: int = 13, samples: int = 12) -> TheoremReport:
+def check_primitivity() -> TheoremReport:
     """Every irreducible of degree r is primitive when 2^r - 1 is prime;
-    exhaustive for the small degrees, sampled at degree 13."""
+    exhaustive for r = 2, 3, 5, 7, sampled at degree 13."""
+    sampled_degree = _PRIMITIVE_SAMPLED_DEGREE
     bad = []
-    for r in exhaustive:
-        if not _intmath.is_mersenne_prime_exponent(r):
-            raise ValueError(f"2^{r}-1 is not prime")
+    for r in _PRIMITIVE_EXHAUSTIVE_DEGREES:
         for q in _irreducibles_of_degree(r):
             if not is_primitive(q):
                 bad.append(str(q))
     rng = random.Random(sampled_degree)
     checked = 0
-    while checked < samples:
+    while checked < _PRIMITIVE_SAMPLES:
         q = Poly((1 << sampled_degree) | rng.getrandbits(sampled_degree) | 1)
         if is_irreducible(q):
             checked += 1
             if not is_primitive(q):
                 bad.append(str(q))
-    params = {"exhaustive": list(exhaustive), "sampled_degree": sampled_degree}
-    return _report("lemma3.9", params, "fail" if bad else "pass", {"violations": bad})
+    params = {"exhaustive": list(_PRIMITIVE_EXHAUSTIVE_DEGREES), "sampled_degree": sampled_degree}
+    return TheoremReport("lemma3.9", params, "fail" if bad else "pass", {"violations": bad})
 
 
 def explore_alpha_u6(m: MersennePrime) -> list[tuple[int, int]]:
@@ -419,8 +411,10 @@ def run_all(
     if claim is not None:
         base = "thm1.2" if claim.startswith("thm1.2") else claim
         tasks = [t for t in tasks if t[0] == base]
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+    # the pool starts every worker at once, so never ask for more than can run
+    workers = min(jobs, len(tasks), os.cpu_count() or 1)
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             reports = list(pool.map(_run_task, tasks, chunksize=16))
     else:
         reports = [_run_task(t) for t in tasks]

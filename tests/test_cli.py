@@ -70,6 +70,21 @@ def test_parse_degree_cap_exits_2(capsys):
     assert captured.err.count("\n") == 1
 
 
+@pytest.mark.parametrize(
+    "text",
+    ["x^" + "9" * 5000, "(" * 10_000 + "x" + ")" * 10_000],
+    ids=["long-exponent", "deep-nesting"],
+)
+def test_parse_hostile_input_exits_2(capsys, text):
+    code = main(["factor", text])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error:") and "Traceback" not in captured.err
+    assert captured.err.count("\n") == 1
+    assert "set_int_max_str_digits" not in captured.err
+
+
 def test_unknown_subcommand(capsys):
     assert main(["no-such-command"]) == 2
 
@@ -104,6 +119,48 @@ def test_verify_json_digest(capsys):
     assert code == 0
     assert len(out.splitlines()) == VERIFY_4_2_LINES
     assert hashlib.sha256(out.encode()).hexdigest() == VERIFY_4_2_SHA256
+
+
+#: sha256 and line count of `search ... --format json` stdout, pinned so
+#: that a refactor of either search route cannot change a byte of it
+SEARCH_DIGESTS = [
+    (
+        ["--mode", "perfect", "--family", "mersenne", "--max-degree", "24"],
+        "ae9e983a74531e3099ba40dc193492e9055bf61285ef5cdcb98d11577004e5e8",
+        12,
+    ),
+    (
+        ["--mode", "unitary", "--family", "mersenne", "--max-degree", "24", "--all-powers"],
+        "d77ad062c2c26195db466434e403c070abf0fb9833bfd4cf80d3f9ff3078e50e",
+        21,
+    ),
+    (
+        ["--mode", "perfect", "--family", "all", "--max-degree", "12"],
+        "6f202f0e77931bf0ef2ba404031de2dd009ed098d1297ef41db8c99f36040c66",
+        8,
+    ),
+    (
+        ["--mode", "unitary", "--family", "all", "--max-degree", "10", "--all-powers"],
+        "b25805cf53946d52182f6ef33b091b3bdc82d68aa7a88dd460f070a1b7cc71ec",
+        6,
+    ),
+]
+
+
+@pytest.mark.parametrize("argv, sha256, lines", SEARCH_DIGESTS)
+def test_search_json_digest(capsys, argv, sha256, lines):
+    code, out = run_cli(capsys, "search", *argv, "--format", "json")
+    assert code == 0
+    assert len(out.splitlines()) == lines
+    assert hashlib.sha256(out.encode()).hexdigest() == sha256
+
+
+def test_search_bruteforce_guard_exits_2(capsys):
+    code = main(["search", "--family", "all", "--max-degree", "19"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == "error: family=all search is guarded at degree 18\n"
 
 
 @pytest.mark.parametrize(

@@ -2,9 +2,9 @@ import random
 
 import pytest
 
+from gf2perfect import euler_phi
 from gf2perfect.factor import (
     count_irreducibles,
-    euler_phi,
     factorize,
     is_irreducible,
     is_primitive,

@@ -243,14 +243,16 @@ def test_parse_format_round_trip():
 
 
 def test_parse_errors():
-    for bad in ("", "  ", "x^", "2x", "x+", "y", "(x+1", "x^2++1", "x^-1"):
+    deep = ["(" * n + "x" + ")" * n for n in (101, 10_000)]  # nesting cap is 100
+    for bad in ("", "  ", "x^", "2x", "x+", "y", "(x+1", "x^2++1", "x^-1", *deep):
         with pytest.raises(ValueError):
             parse(bad)
+    assert parse("(" * 100 + "x" + ")" * 100) == X
 
 
 def test_parse_degree_cap():
     assert PARSE_DEGREE_CAP == 1 << 16
-    too_big = ["x^2000000", "(x+1)^70000", "x^40000*x^40000", "x^40000 x^40000", "0x" + "f" * 16400]
+    too_big = ["x^2000000", "(x+1)^70000", "x^40000*x^40000", "x^40000 x^40000", "0x" + "f" * 16400, "x^" + "9" * 5000]
     for text in too_big:
         start = time.perf_counter()
         with pytest.raises(BudgetError):
@@ -260,6 +262,8 @@ def test_parse_degree_cap():
     assert parse("x^32768*x^32768") == Poly.monomial(PARSE_DEGREE_CAP)
     assert parse("0^99999999999") == ZERO
     assert parse("1^99999999999") == ONE
+    assert parse("0^" + "9" * 5000) == ZERO and parse("1^" + "9" * 5000) == ONE
+    assert parse("0^" + "0" * 5000) == ONE and parse("x^" + "0" * 5000 + "3") == X**3
     assert parse("0*x^40000*x^40000") == ZERO
 
 

@@ -1,6 +1,6 @@
 import pytest
 
-from gf2perfect.factor import euler_phi
+from gf2perfect import euler_phi
 from gf2perfect.gf2poly import ONE, X, XP1, Poly, parse
 from gf2perfect.mersenne import (
     catalog,

@@ -1,6 +1,6 @@
 import pytest
 
-from gf2perfect.divisors import canonical_class_rep, sigma, sigma_star
+from gf2perfect.divisors import canonical_class_rep, check, sigma, sigma_star
 from gf2perfect.factor import factorize
 from gf2perfect.gf2poly import X, XP1, BudgetError, Poly, parse
 from gf2perfect.mersenne import catalog, mersenne_form
@@ -25,16 +25,16 @@ def test_config_validation():
     with pytest.raises(ValueError):
         SearchConfig(max_degree=8, mode="odd")
     with pytest.raises(BudgetError):
-        SearchConfig(max_degree=19, family="all")
+        search_bruteforce(SearchConfig(19))
 
 
 def test_bruteforce_trivial_budgets():
-    assert search_bruteforce(SearchConfig(max_degree=1, family="all")) == []
-    assert search_bruteforce(SearchConfig(max_degree=3, family="all")) == [parse("x^2+x")]
+    assert search_bruteforce(SearchConfig(max_degree=1)) == []
+    assert search_bruteforce(SearchConfig(max_degree=3)) == [parse("x^2+x")]
 
 
 def test_bruteforce_small_unitary():
-    hits = search_bruteforce(SearchConfig(max_degree=10, mode="unitary", family="all"))
+    hits = search_bruteforce(SearchConfig(max_degree=10, mode="unitary"))
     assert CAT.lookup("B1") in hits  # degree 10
     assert CAT.lookup("B2") in hits  # degree 7
     for a in hits:
@@ -43,30 +43,23 @@ def test_bruteforce_small_unitary():
 
 def test_bruteforce_matches_direct_scan():
     # independent oracle: test sigma(A) = A via the factorization route
-    hits = search_bruteforce(SearchConfig(max_degree=9, family="all"))
+    hits = search_bruteforce(SearchConfig(max_degree=9))
     direct = [Poly(m) for m in range(2, 1 << 10) if sigma(Poly(m)) == Poly(m)]
     assert hits == direct
 
 
 def test_structured_smallest():
     hits = search_structured(SearchConfig(max_degree=3, mode="perfect"))
-    assert [p for p, _ in hits] == [parse("x^2+x")]
-
-
-def test_structured_wrong_family():
-    with pytest.raises(ValueError):
-        search_structured(SearchConfig(max_degree=8, family="all"))
-    with pytest.raises(ValueError):
-        search_bruteforce(SearchConfig(max_degree=8))
+    assert hits == [parse("x^2+x")]
 
 
 def test_structured_vs_bruteforce_degree_12():
     for mode in ("perfect", "unitary"):
-        brute = search_bruteforce(SearchConfig(max_degree=12, mode=mode, family="all"))
-        structured = [p for p, _ in search_structured(SearchConfig(max_degree=12, mode=mode))]
+        brute = search_bruteforce(SearchConfig(max_degree=12, mode=mode))
+        structured = search_structured(SearchConfig(max_degree=12, mode=mode))
         assert sorted(p for p in brute if mersenne_only_odd_part(p)) == structured
-        for p, report in search_structured(SearchConfig(max_degree=12, mode=mode)):
-            assert report.verdict
+        for p in structured:
+            assert check(p, mode).verdict
 
 
 def test_monotone_budgets():
@@ -75,8 +68,8 @@ def test_monotone_budgets():
         for lo, hi in ((10, 16), (15, 16), (31, 32)):
             small = search_structured(SearchConfig(max_degree=lo, mode=mode))
             large = search_structured(SearchConfig(max_degree=hi, mode=mode))
-            assert {p for p, _ in small} <= {p for p, _ in large}
-            assert all(report.verdict for _, report in small + large)
+            assert set(small) <= set(large)
+            assert all(check(p, mode).verdict for p in small + large)
 
 
 def test_packed_part_sums_decode():
@@ -96,7 +89,7 @@ def test_packed_part_sums_decode():
 
 def test_classification_at_degree_40():
     def classes(mode):
-        hits = [p for p, _ in search_structured(SearchConfig(max_degree=40, mode=mode))]
+        hits = search_structured(SearchConfig(max_degree=40, mode=mode))
         return classify_hits(hits, mode).classes
 
     perfect = classes("perfect")
@@ -116,7 +109,7 @@ def test_classification_at_degree_40():
 
 def test_bar_closure_of_hits():
     for mode in ("perfect", "unitary"):
-        hits = {p for p, _ in search_structured(SearchConfig(max_degree=16, mode=mode))}
+        hits = set(search_structured(SearchConfig(max_degree=16, mode=mode)))
         assert {p.bar() for p in hits} == hits
 
 
@@ -139,7 +132,7 @@ def test_classify_flags_non_mersenne():
 
 
 def test_classify_perfect_hits_are_singletons():
-    hits = [p for p, _ in search_structured(SearchConfig(max_degree=16, mode="perfect"))]
+    hits = search_structured(SearchConfig(max_degree=16, mode="perfect"))
     report = classify_hits(hits, "perfect")
     nontrivial = report.nontrivial()
     assert all(len(c.members) == 1 for c in nontrivial)

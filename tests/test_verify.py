@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from gf2perfect import verify
 from gf2perfect.divisors import sigma
 from gf2perfect.gf2poly import parse
 from gf2perfect.mersenne import MersennePrime, catalog, enumerate_mersenne_primes
@@ -104,18 +105,6 @@ def test_alpha3_u2h():
     assert check_alpha3_u2h(M3, 5).verdict == "out_of_scope"  # wrong prime
 
 
-def test_alpha_lemmas_bundle():
-    from gf2perfect.verify import check_alpha_lemmas
-
-    r = check_alpha_lemmas(M2, 5)
-    assert r.claim_id == "alpha-lemmas" and r.verdict == "pass"
-    assert r.witness["lemma3.15"]["verdict"] == "pass"
-    assert r.witness["cor3.17"]["verdict"] == "pass"
-    r = check_alpha_lemmas(M3, 1)
-    assert r.verdict == "pass"  # out-of-scope parts do not fail the bundle
-    assert "cor3.28" in r.witness
-
-
 def test_alpha3_u2():
     # degree-7 Mersenne primes have omega(sigma(M^2)) = 3
     hits = 0
@@ -189,6 +178,35 @@ def test_run_all_jobs_match_serial():
     serial = run_all(4, 2)
     parallel = run_all(4, 2, jobs=2)
     assert [r.to_json() for r in serial] == [r.to_json() for r in parallel]
+
+
+def test_run_all_clamps_workers(monkeypatch):
+    # the pool forks every worker at once; a fake pool maps serially and
+    # records its size, so this test starts no process
+    sizes = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks, chunksize=1):
+            return map(fn, tasks)
+
+    monkeypatch.setattr(verify, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(verify.os, "cpu_count", lambda: 4)
+    serial = [r.to_json() for r in run_all(4, 2)]
+    assert [r.to_json() for r in run_all(4, 2, jobs=5000)] == serial
+    assert [r.to_json() for r in run_all(4, 2, jobs=3)] == serial
+    assert len(run_all(4, 2, jobs=5000, claim="lemma3.7")) == 1  # one task
+    monkeypatch.setattr(verify.os, "cpu_count", lambda: None)
+    assert [r.to_json() for r in run_all(4, 2, jobs=5000)] == serial
+    assert sizes == [4, 3]
 
 
 def test_report_json_shape():
