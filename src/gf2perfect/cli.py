@@ -5,7 +5,7 @@ verify, search and explore-p7.  Polynomials are written as expressions
 ("x^4+x^3+1", "x^2(x+1)^3M1"), hex coefficient masks ("0x13") or catalog
 names (M1..M3, M2b/M3b, T1..T9, B1..B9, S1, S2; underscores optional).
 `search --family mersenne` runs the structured search, `--family all`
-the brute-force oracle (degree <= 18); classify_hits groups the hits.
+the brute-force oracle (degree <= 20); classify_hits groups the hits.
 
 Exit codes: 0 success or all checks passed, 1 a verdict failed, 2 usage
 or input error (a verify sweep that yields no pass or fail verdict is
@@ -219,7 +219,11 @@ def main(argv=None) -> int:
     except (ValueError, ZeroDivisionError, BudgetError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    _emit(lines, args.out)
+    try:
+        _emit(lines, args.out)
+    except OSError as exc:
+        print(f"error: cannot write {args.out or 'stdout'}: {exc.strerror}", file=sys.stderr)
+        return 2
     return code
 
 

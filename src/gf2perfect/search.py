@@ -6,10 +6,12 @@ once and packed into one integer exponent vector over x, x+1 and the
 Mersenne primes in range; a part whose divisor sum has any other prime
 is dropped (that prime would divide the whole polynomial, so nothing is
 lost).  The enumeration then only adds and compares integers.  The
-brute-force search sieves smallest prime factors over all coefficient
-masks and tests sigma(A) = A literally; it is the oracle the structured
-route is checked against up to BRUTEFORCE_MAX_DEGREE.  Both return
-the sorted hits; classify_hits groups and flags them.
+brute-force search makes no assumption about which primes appear: one
+linear-sieve pass over all coefficient masks gives each mask's divisor
+sum from a smaller mask's, and it tests sigma(A) = A literally.  It is
+the oracle the structured route is checked against up to
+BRUTEFORCE_MAX_DEGREE, the degree of T8 and T9.  Both return the sorted
+hits; classify_hits groups and flags them.
 """
 
 from __future__ import annotations
@@ -19,11 +21,13 @@ from dataclasses import dataclass
 
 from .divisors import canonical_class_rep, is_indecomposable, sigma, sigma_star
 from .factor import factorize
+# bench/trace_launch.py wraps search._mul_mask and search._divmod_mask by
+# name, so both stay imported here even though only _mul_mask is called.
 from .gf2poly import X, XP1, BudgetError, Poly, _divmod_mask, _mul_mask
 from .mersenne import catalog, enumerate_mersenne_primes, mersenne_form
 
 #: Hard guard for the exhaustive family=all search (2^(D+1) sigma values).
-BRUTEFORCE_MAX_DEGREE = 18
+BRUTEFORCE_MAX_DEGREE = 20
 
 MODES = ("perfect", "unitary")
 
@@ -108,6 +112,10 @@ def search_structured(cfg: SearchConfig) -> list[Poly]:
     def extend(i, budget, sums, odd):
         # budget is max_degree - 2 minus the odd part's degree
         vx1 = sums >> width & field
+        # a hit has a >= the x field and b >= vx1, and extending only
+        # grows sums and shrinks budget: no hit below this node
+        if (sums & field) + vx1 > budget + 2:
+            return
         for a, fx, fx_xp1 in x_probes:
             b = vx1 + fx_xp1
             f1 = xp1_parts.get(b)
@@ -128,55 +136,48 @@ def search_structured(cfg: SearchConfig) -> list[Poly]:
     return hits
 
 
-def _sieve_masks(max_degree: int):
-    """Smallest-prime-factor table over all masks of degree <= max_degree.
+def _divisor_sum_tables(max_degree: int, unitary: bool):
+    """sigma (or sigma*) of every mask of degree <= max_degree, by linear sieve.
 
-    Masks are visited in increasing order, so an unmarked mask has no
-    smaller prime divisor and is itself irreducible; marking its
-    in-range multiples fills the table like an Eratosthenes sieve.
+    Masks are visited in increasing order; an unmarked mask is prime.
+    Each composite v is written exactly once, as p * q with p = spf[v]
+    its least prime and q already final (Gries & Misra's linear sieve).
+    rest[q] is q with every factor p = spf[q] divided out, so q = p^k r,
+    v = p^(k+1) r, and the divisor sum of v follows from q's and r's by
+    multiplicativity.  Every entry is a mask below 2^(max_degree + 1).
     """
     limit = 1 << (max_degree + 1)
-    spf = array("q", bytes(8 * limit))
-    for p in range(2, limit):
-        if spf[p]:
-            continue
-        pd = p.bit_length() - 1
-        for q in range(1, 1 << (max_degree + 1 - pd)):
-            v = _mul_mask(p, q)
-            if not spf[v]:
-                spf[v] = p
-    return spf
-
-
-def _divisor_sum_tables(max_degree: int, unitary: bool):
-    # table[rest] is always ready before table[m]: deg(rest) < deg(m)
-    limit = 1 << (max_degree + 1)
-    spf = _sieve_masks(max_degree)
-    table = array("q", bytes(8 * limit))
+    spf = array("I", bytes(4 * limit))
+    rest = array("I", bytes(4 * limit))
+    table = array("I", bytes(4 * limit))
     table[1] = 1
-    for m in range(2, limit):
-        p = spf[m] or m
-        pe = p
-        rest, r = _divmod_mask(m, p)
-        while True:
-            q, r = _divmod_mask(rest, p)
-            if r:
+    primes = []  # only primes of degree <= max_degree / 2 are ever a least factor
+    for q in range(2, limit):
+        room = max_degree + 1 - q.bit_length()  # max_degree - deg q
+        sq = spf[q]
+        if not sq:
+            sq = spf[q] = q
+            rest[q] = 1
+            table[q] = q ^ 1
+            if room >= q.bit_length() - 1:
+                primes.append(q)
+        sigma_q = table[q]
+        for p in primes:
+            if p > sq or p.bit_length() - 1 > room:
                 break
-            rest = q
-            pe = _mul_mask(pe, p)
-        part = (pe ^ 1) if unitary else _geometric_sum(p, pe)
-        table[m] = _mul_mask(part, table[rest])
+            v = _mul_mask(p, q)
+            spf[v] = p
+            if p < sq:  # p does not divide q
+                rest[v] = q
+                table[v] = _mul_mask(p ^ 1, sigma_q)
+            else:
+                r = rest[q]
+                rest[v] = r
+                if unitary:  # sigma*(p^(k+1)) = p * sigma*(p^k) + p + 1
+                    table[v] = _mul_mask(p, sigma_q) ^ _mul_mask(p ^ 1, table[r])
+                else:  # sigma(p^(k+1)) = p * sigma(p^k) + 1
+                    table[v] = _mul_mask(p, sigma_q) ^ table[r]
     return table
-
-
-def _geometric_sum(p, pe):
-    # 1 + p + p^2 + ... up to and including pe
-    acc = 1
-    cur = 1
-    while cur != pe:
-        cur = _mul_mask(cur, p)
-        acc ^= cur
-    return acc
 
 
 def search_bruteforce(cfg: SearchConfig) -> list[Poly]:

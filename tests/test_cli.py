@@ -156,11 +156,11 @@ def test_search_json_digest(capsys, argv, sha256, lines):
 
 
 def test_search_bruteforce_guard_exits_2(capsys):
-    code = main(["search", "--family", "all", "--max-degree", "19"])
+    code = main(["search", "--family", "all", "--max-degree", "21"])
     captured = capsys.readouterr()
     assert code == 2
     assert captured.out == ""
-    assert captured.err == "error: family=all search is guarded at degree 18\n"
+    assert captured.err == "error: family=all search is guarded at degree 20\n"
 
 
 @pytest.mark.parametrize(
@@ -203,6 +203,17 @@ def test_out_file(tmp_path, capsys):
     code, _ = run_cli(capsys, "sigma", "x^4", "--out", str(target))
     assert code == 0
     assert target.read_text() == "x^4+x^3+x^2+x+1\n"
+
+
+@pytest.mark.parametrize("where", ["missing-dir", "directory"])
+def test_out_unwritable_exits_2(tmp_path, capsys, where):
+    target = tmp_path / "missing" / "f" if where == "missing-dir" else tmp_path
+    code = main(["factor", "x", "--out", str(target)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: cannot write {target}:")
+    assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
 
 
 @pytest.mark.parametrize(

@@ -1,11 +1,12 @@
 import pytest
 
 from gf2perfect.divisors import canonical_class_rep, check, sigma, sigma_star
-from gf2perfect.factor import factorize
+from gf2perfect.factor import factorize, is_irreducible
 from gf2perfect.gf2poly import X, XP1, BudgetError, Poly, parse
 from gf2perfect.mersenne import catalog, mersenne_form
 from gf2perfect.search import (
     SearchConfig,
+    _divisor_sum_tables,
     _part_sigma_table,
     classify_hits,
     search_bruteforce,
@@ -25,7 +26,7 @@ def test_config_validation():
     with pytest.raises(ValueError):
         SearchConfig(max_degree=8, mode="odd")
     with pytest.raises(BudgetError):
-        search_bruteforce(SearchConfig(19))
+        search_bruteforce(SearchConfig(21))
 
 
 def test_bruteforce_trivial_budgets():
@@ -46,6 +47,34 @@ def test_bruteforce_matches_direct_scan():
     hits = search_bruteforce(SearchConfig(max_degree=9))
     direct = [Poly(m) for m in range(2, 1 << 10) if sigma(Poly(m)) == Poly(m)]
     assert hits == direct
+
+
+def test_divisor_sum_table_entries():
+    # every entry, not just the fixed points the hit lists compare
+    irreducibles = [Poly(m) for m in range(2, 1 << 10) if is_irreducible(Poly(m))]
+    for unitary, divisor_sum in ((False, sigma), (True, sigma_star)):
+        table = _divisor_sum_tables(12, unitary)
+        assert all(table[m] == divisor_sum(Poly(m)).mask for m in range(1, 1 << 13))
+        # prime powers times a coprime cofactor: the entries built from rest[]
+        table = _divisor_sum_tables(16, unitary)
+        for i, p in enumerate(irreducibles):
+            for k in range(2, 16 // p.degree + 1):
+                for r in (Poly(1), *irreducibles[i + 1 : i + 4]):
+                    m = p**k * r
+                    if m.degree <= 16:
+                        assert table[m.mask] == divisor_sum(m).mask, (p, k, r)
+
+
+def test_bruteforce_classification_at_degree_20():
+    # the exhaustive route, assuming nothing about the odd primes
+    report = classify_hits(search_bruteforce(SearchConfig(20)), "perfect")
+    trivial = {(X * XP1) ** (2**n - 1) for n in range(1, 4)}  # degree 2, 6, 14
+    known = {CAT.lookup(f"T{i}") for i in range(1, 10)}
+    sporadic = parse("x(x+1)^2(x^2+x+1)^2(x^4+x+1)")
+    assert len(report.classes) == 14
+    assert {c.rep for c in report.classes if c.trivial} == trivial
+    assert {c.rep for c in report.classes if c.in_catalog} == known
+    assert {c.rep for c in report.flagged} == {sporadic, sporadic.bar()}
 
 
 def test_structured_smallest():
@@ -105,6 +134,15 @@ def test_classification_at_degree_40():
 
     for c in perfect + unitary:
         assert (c.in_catalog or c.trivial) and not c.outside_scope
+
+
+@pytest.mark.parametrize("mode, degree, count", [("perfect", 60, 13), ("unitary", 48, 10)])
+def test_classification_beyond_degree_40(mode, degree, count):
+    # the same classes as at degree 40: the valuation bound loses none
+    report = classify_hits(search_structured(SearchConfig(degree, mode)), mode)
+    assert len(report.classes) == count
+    assert report.flagged == ()
+    assert all(c.in_catalog or c.trivial for c in report.classes)
 
 
 def test_bar_closure_of_hits():
