@@ -15,6 +15,7 @@ one).  Output depends only on the arguments.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
 
@@ -82,15 +83,6 @@ def _build_parser():
     _add_common(p)
 
     return ap
-
-
-def _emit(lines, out_path):
-    text = "\n".join(lines) + "\n" if lines else ""
-    if out_path:
-        with open(out_path, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
 
 
 def _cmd_factor(args):
@@ -215,15 +207,23 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:
-        lines, code = _COMMANDS[args.command](args)
-    except (ValueError, ZeroDivisionError, BudgetError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    try:
-        _emit(lines, args.out)
+        # opened (and truncated) before the command runs, as a shell redirect is
+        out = open(args.out, "w") if args.out else contextlib.nullcontext(sys.stdout)
     except OSError as exc:
-        print(f"error: cannot write {args.out or 'stdout'}: {exc.strerror}", file=sys.stderr)
+        print(f"error: cannot write {args.out}: {exc.strerror}", file=sys.stderr)
         return 2
+    with out as fh:
+        try:
+            lines, code = _COMMANDS[args.command](args)
+        except (ValueError, ZeroDivisionError, BudgetError) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
+        try:
+            fh.write("\n".join(lines) + "\n" if lines else "")
+            fh.flush()
+        except OSError as exc:
+            print(f"error: cannot write {args.out or 'stdout'}: {exc.strerror}", file=sys.stderr)
+            return 2
     return code
 
 

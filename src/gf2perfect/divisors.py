@@ -187,13 +187,6 @@ def is_even_poly(a: Poly) -> bool:
     return a.mask & 1 == 0 or a.mask.bit_count() % 2 == 0
 
 
-def is_multiperfect(a: Poly) -> bool:
-    """Exploration predicate: does a divide sigma(a)?"""
-    if not a:
-        raise ValueError("multiperfection is undefined for the zero polynomial")
-    return a.divides(sigma(a))
-
-
 def is_indecomposable(a: Poly, mode: str = "perfect") -> bool:
     """True iff a is not a product of two coprime nonconstant polynomials
     that are both perfect (or both unitary perfect, per mode).
@@ -239,10 +232,3 @@ def canonical_class_rep(s: Poly) -> Poly:
     key = (core.valuation(X), core.mask)
     other_key = (other.valuation(X), other.mask)
     return core if key <= other_key else other
-
-
-def same_class(s: Poly, t: Poly) -> bool:
-    """True iff one of s, t is a repeated square of the other."""
-    if not s or s.degree < 1 or not t or t.degree < 1:
-        raise ValueError("class membership is defined for nonconstant polynomials")
-    return _square_free_core(s) == _square_free_core(t)

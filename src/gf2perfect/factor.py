@@ -7,6 +7,7 @@ characteristic-2 trace map.  The equal-degree stage draws random split
 candidates from a generator seeded by the input alone.  The draws only
 decide how quickly a split is found: the factorization over GF(2) is
 unique and returned sorted, so the result depends on the input only.
+is_irreducible is the distinct-degree loop stopped at its first factor.
 """
 
 from __future__ import annotations
@@ -70,41 +71,18 @@ class Factorization:
         return " * ".join(parts) if parts else "1"
 
 
-def _frobenius_powers(p: Poly, exponents):
-    # x^(2^d) mod p for each requested d, computed by iterated squaring
-    want = sorted(set(exponents))
-    out = {}
-    r = X % p
-    d = 0
-    for target in want:
-        while d < target:
-            r = r.square() % p
-            d += 1
-        out[target] = r
-    return out
-
-
 def is_irreducible(p: Poly) -> bool:
-    """Deterministic irreducibility test (iterated-Frobenius criterion).
+    """Deterministic irreducibility test (Ben-Or's criterion).
 
-    p is irreducible iff x^(2^n) = x (mod p) for n = deg p while
-    gcd(x^(2^(n/q)) - x, p) = 1 for every prime q dividing n.
+    A reducible p of degree n has an irreducible factor of degree d <= n/2,
+    so p is irreducible iff gcd(x^(2^d) - x, p) = 1 for every d <= n/2
+    (Ben-Or 1981; Gao & Panario 1997).  That is the first step of the
+    distinct-degree split: p is irreducible iff the split's first part is
+    p itself.
     """
-    n = p.degree
-    if not p or n < 1:
+    if not p or p.degree < 1:
         raise ValueError("irreducibility is defined for nonconstant polynomials")
-    if n == 1:
-        return True
-    if p.coeff(0) == 0:  # divisible by x
-        return False
-    targets = [n] + [n // q for q in _intmath.prime_factors(n)]
-    frob = _frobenius_powers(p, targets)
-    if frob[n] != X % p:
-        return False
-    for q in _intmath.prime_factors(n):
-        if gcd(frob[n // q] + X, p) != ONE:
-            return False
-    return True
+    return next(_distinct_degree_parts(p))[0] == p.degree
 
 
 def _trace_mod(r: Poly, d: int, f: Poly) -> Poly:
@@ -117,9 +95,10 @@ def _trace_mod(r: Poly, d: int, f: Poly) -> Poly:
     return acc
 
 
-def _equal_degree_split(f: Poly, d: int, rng, sink):
+def _equal_degree_split(f: Poly, d: int, rng):
+    # f is a product of distinct irreducibles of degree d; yields them
     if f.degree == d:
-        sink(f)
+        yield f
         return
     bits = int(f.degree)
     while True:
@@ -129,24 +108,25 @@ def _equal_degree_split(f: Poly, d: int, rng, sink):
         u = gcd(_trace_mod(r % f, d, f), f)
         if 0 < u.degree < f.degree:
             break
-    _equal_degree_split(u, d, rng, sink)
-    _equal_degree_split(f // u, d, rng, sink)
+    yield from _equal_degree_split(u, d, rng)
+    yield from _equal_degree_split(f // u, d, rng)
 
 
-def _distinct_degree_split(f: Poly, rng, sink):
-    # f squarefree, odd part handled like anything else
+def _distinct_degree_parts(f: Poly):
+    # yields (d, g): g the product of f's irreducible factors of degree d,
+    # exact for squarefree f; what is left past deg/2 comes last as one part
     r = X % f
     d = 0
-    while f.degree > 0 and 2 * (d + 1) <= f.degree:
+    while 2 * (d + 1) <= f.degree:
         d += 1
         r = r.square() % f
         g = gcd(r + X, f)
         if g.degree > 0:
-            _equal_degree_split(g, d, rng, sink)
+            yield d, g
             f = f // g
             r = r % f
     if f.degree > 0:
-        sink(f)
+        yield f.degree, f
 
 
 def _rng_for(p: Poly):
@@ -160,13 +140,6 @@ def _rng_for(p: Poly):
 def _factorize_cached(mask: int) -> Factorization:
     p = Poly(mask)
     counts: dict[Poly, int] = {}
-
-    def sink_with(scale):
-        def sink(prime):
-            counts[prime] = counts.get(prime, 0) + scale
-
-        return sink
-
     rng = _rng_for(p)
     f = p
     scale = 1
@@ -179,7 +152,9 @@ def _factorize_cached(mask: int) -> Factorization:
         # w collects each prime whose multiplicity in f is odd, once;
         # the cofactor f // w is then a perfect square
         w = f // gcd(f, df)
-        _distinct_degree_split(w, rng, sink_with(scale))
+        for d, g in _distinct_degree_parts(w):
+            for prime in _equal_degree_split(g, d, rng):
+                counts[prime] = counts.get(prime, 0) + scale
         f = (f // w).sqrt()
         scale *= 2
     ordered = tuple(sorted(counts.items()))

@@ -25,7 +25,7 @@ from ._intmath import euler_phi
 from .divisors import sigma
 from .factor import count_irreducibles, factorize, is_irreducible, is_primitive
 from .gf2poly import ONE, X, XP1, Poly
-from .mersenne import MersennePrime, catalog, enumerate_mersenne_primes, in_delta, mersenne_form
+from .mersenne import MersennePrime, catalog, enumerate_mersenne_primes, in_delta, mersenne_form, mersenne_poly
 
 #: Default cap on deg(M^2h) for swept instances.
 DEFAULT_DEGREE_BUDGET = 2048
@@ -305,7 +305,7 @@ def check_no_mersenne_degree_multiple_8() -> TheoremReport:
     found = []
     for d in _MULTIPLE_8_DEGREES:
         for a in range(1, d):
-            p = ((XP1 ** (d - a)) << a) + ONE
+            p = mersenne_poly(a, d - a)
             if is_irreducible(p):
                 found.append(str(p))
     params = {"degrees": list(_MULTIPLE_8_DEGREES)}

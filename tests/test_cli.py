@@ -2,6 +2,7 @@ import hashlib
 import json
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -214,6 +215,18 @@ def test_out_unwritable_exits_2(tmp_path, capsys, where):
     assert captured.out == ""
     assert captured.err.startswith(f"error: cannot write {target}:")
     assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
+
+
+def test_out_unwritable_fails_before_the_command_runs(tmp_path, capsys):
+    # the full sweep takes seconds; the unwritable --out must stop it first
+    target = tmp_path / "missing" / "f"
+    start = time.perf_counter()
+    code = main(["verify", "--max-degree", "8", "--max-h", "60", "--out", str(target)])
+    elapsed = time.perf_counter() - start
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.startswith(f"error: cannot write {target}:")
+    assert elapsed < 2.0
 
 
 @pytest.mark.parametrize(

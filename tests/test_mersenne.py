@@ -1,3 +1,5 @@
+from collections import Counter
+
 import pytest
 
 from gf2perfect import euler_phi
@@ -47,6 +49,22 @@ def test_enumerate_matches_catalog_at_degree_4():
 def test_no_mersenne_prime_of_degree_multiple_8():
     for m in enumerate_mersenne_primes(24):
         assert m.degree % 8 != 0
+
+
+# Mersenne primes 1 + x^a (x+1)^b per degree up to 100, 231 in all; a degree
+# not listed has none (8, 16, 24, ... among them)
+_CENSUS_100 = {
+    2: 1, 3: 2, 4: 2, 5: 2, 6: 2, 7: 4, 9: 4, 10: 2, 11: 2, 12: 2, 14: 2,
+    15: 6, 17: 6, 18: 2, 20: 2, 21: 2, 22: 2, 23: 4, 25: 4, 28: 8, 29: 2,
+    30: 2, 31: 8, 33: 4, 34: 2, 35: 2, 36: 2, 39: 6, 41: 4, 44: 2, 46: 2,
+    47: 8, 49: 8, 52: 8, 55: 4, 57: 8, 58: 2, 60: 8, 62: 2, 63: 8, 65: 4,
+    68: 4, 71: 10, 73: 6, 74: 2, 76: 2, 79: 4, 81: 6, 84: 6, 86: 2, 87: 2,
+    89: 2, 92: 2, 93: 2, 94: 2, 95: 4, 97: 8, 98: 4, 100: 6,
+}
+
+
+def test_census_to_degree_100():
+    assert Counter(m.degree for m in enumerate_mersenne_primes(100)) == _CENSUS_100
 
 
 def test_enumeration_invariants():
