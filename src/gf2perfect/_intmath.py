@@ -1,10 +1,10 @@
 """Small deterministic integer helpers: primality, factoring, totient.
 
 Everything here is exact and deterministic.  Primality is Miller-Rabin
-with a witness set proven complete below 2^64, and Lucas-Lehmer for
-Mersenne numbers 2^k - 1 of any size; factoring is trial
-division with a Pollard-rho (Brent) fallback, adequate for the 64-bit
-inputs this package needs.
+with a witness set proven complete below 2^64 (larger n is refused), and
+Lucas-Lehmer for Mersenne numbers 2^k - 1 of any size; factoring is
+trial division with a Pollard-rho (Brent) fallback, adequate for the
+64-bit inputs this package needs.
 """
 
 from __future__ import annotations
@@ -17,7 +17,14 @@ _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic primality test, valid for all n below 2^64."""
+    """Deterministic primality test for n below 2^64; raises ValueError above.
+
+    The witness set is proven complete only below 2^64, so a larger n gets
+    no verdict rather than an unproven one (2^k - 1 of any size goes to
+    is_mersenne_prime_exponent).
+    """
+    if n >= 1 << 64:
+        raise ValueError(f"is_prime is exact only below 2^64, got {n}")
     if n < 2:
         return False
     for p in _SMALL_PRIMES:

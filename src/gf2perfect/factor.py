@@ -8,6 +8,12 @@ candidates from a generator seeded by the input alone.  The draws only
 decide how quickly a split is found: the factorization over GF(2) is
 unique and returned sorted, so the result depends on the input only.
 is_irreducible is the distinct-degree loop stopped at its first factor.
+
+The distinct-degree loop and the trace map work on coefficient masks:
+they square with the Frobenius spread and reduce with a per-modulus byte
+table (gf2poly._reducer), built once per modulus and rebuilt whenever the
+distinct-degree loop divides a factor out; the loop's gcds are the fused
+Euclid kernel.
 """
 
 from __future__ import annotations
@@ -17,7 +23,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from . import _intmath
-from .gf2poly import ONE, X, BudgetError, Poly, gcd
+from .gf2poly import ONE, X, BudgetError, Poly, _divmod_mask, _gcd_mask, _reducer, _sqr_mask, gcd
 
 #: is_primitive refuses degrees whose group order 2^r - 1 exceeds this.
 PRIMITIVITY_DEGREE_CAP = 64
@@ -87,12 +93,12 @@ def is_irreducible(p: Poly) -> bool:
 
 def _trace_mod(r: Poly, d: int, f: Poly) -> Poly:
     # r + r^2 + r^4 + ... + r^(2^(d-1)) mod f
-    acc = r
-    cur = r
+    reduce, key = _reducer(f.mask)
+    acc = cur = r.mask
     for _ in range(d - 1):
-        cur = cur.square() % f
-        acc = acc + cur
-    return acc
+        cur = reduce(_sqr_mask(cur), key)
+        acc ^= cur
+    return Poly(acc)
 
 
 def _equal_degree_split(f: Poly, d: int, rng):
@@ -115,18 +121,21 @@ def _equal_degree_split(f: Poly, d: int, rng):
 def _distinct_degree_parts(f: Poly):
     # yields (d, g): g the product of f's irreducible factors of degree d,
     # exact for squarefree f; what is left past deg/2 comes last as one part
-    r = X % f
+    fm = f.mask
+    reduce, key = _reducer(fm)
+    r = reduce(2, key)  # x mod f
     d = 0
-    while 2 * (d + 1) <= f.degree:
+    while 2 * (d + 1) < fm.bit_length():
         d += 1
-        r = r.square() % f
-        g = gcd(r + X, f)
-        if g.degree > 0:
-            yield d, g
-            f = f // g
-            r = r % f
-    if f.degree > 0:
-        yield f.degree, f
+        r = reduce(_sqr_mask(r), key)
+        g = _gcd_mask(fm, r ^ 2)
+        if g > 1:
+            yield d, Poly(g)
+            fm = _divmod_mask(fm, g)[0]
+            reduce, key = _reducer(fm)
+            r = reduce(r, key)
+    if fm > 1:
+        yield fm.bit_length() - 1, Poly(fm)
 
 
 def _rng_for(p: Poly):

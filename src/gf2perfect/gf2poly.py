@@ -11,8 +11,14 @@ The zero polynomial is the integer 0 and its degree is the distinct
 sentinel ``NEG_INFINITY`` (never -1), so degree laws such as
 deg(p*q) = deg(p) + deg(q) stay testable.
 
-Multiplication uses a windowed carry-less kernel for large operands and a
-schoolbook shift-XOR loop otherwise; both produce bit-identical results.
+Multiplication uses a windowed carry-less kernel when both operands are
+dense and a schoolbook shift-XOR loop otherwise; both produce bit-identical
+results.  Repeated reduction modulo one f (the factoring loops square and
+reduce many times per modulus) goes through _reducer: from a cutover
+degree on it builds the 256 multiples of f once and clears eight bits a
+step; below it, it is the bit-at-a-time _mod_mask.  The gcd kernel runs
+Euclid with each remainder computed inline, with no call per remainder
+step.
 """
 
 from __future__ import annotations
@@ -21,9 +27,14 @@ import re
 
 NEG_INFINITY = float("-inf")
 
-#: Operand size (sum of bit lengths) above which multiplication switches
-#: from the schoolbook loop to the windowed kernel.
-_MUL_WINDOW_CUTOVER = 1536
+#: Set bits of the sparser operand above which multiplication switches
+#: from the schoolbook loop (one shift-XOR a set bit) to the windowed kernel
+#: (a fixed 256-entry table, then one XOR a byte).
+_MUL_WINDOW_CUTOVER = 96
+
+#: Modulus degree from which _reducer reduces with a byte table of multiples
+#: of the modulus instead of one bit a step.
+_REDUCE_TABLE_CUTOVER = 64
 
 #: Largest degree the parser builds; a larger power, product or hex mask
 #: raises BudgetError before it is computed.
@@ -83,8 +94,7 @@ def _sqrt_mask(a):
 
 
 def _mul_schoolbook(a, b):
-    if a.bit_count() > b.bit_count():
-        a, b = b, a
+    # one shifted copy of b per set bit of a
     acc = 0
     while a:
         low = a & -a
@@ -98,10 +108,10 @@ def _mul_windowed(a, b):
     # shorter one byte at a time
     if a.bit_length() < b.bit_length():
         a, b = b, a
-    table = [0] * 256
-    for w in range(1, 256):
-        low = w & -w
-        table[w] = table[w ^ low] ^ (a * low)
+    table = [0]
+    for _ in range(8):
+        table += [t ^ a for t in table]
+        a <<= 1
     acc = 0
     shift = 0
     while b:
@@ -112,9 +122,9 @@ def _mul_windowed(a, b):
 
 
 def _mul_mask(a, b):
-    if a == 0 or b == 0:
-        return 0
-    if a.bit_length() + b.bit_length() > _MUL_WINDOW_CUTOVER:
+    if a.bit_count() > b.bit_count():
+        a, b = b, a
+    if a.bit_count() > _MUL_WINDOW_CUTOVER:
         return _mul_windowed(a, b)
     return _mul_schoolbook(a, b)
 
@@ -143,9 +153,52 @@ def _mod_mask(a, d):
         a ^= d << shift
 
 
+def _reduction_table(f):
+    # the 256 multiples of f, n = deg f, listed by their bits n..n+7
+    # (f is monic, so each byte value is met once); entry i is the sum of
+    # the multiples m_j whose bits n..n+7 read 2^j, over the bits j of i
+    n = f.bit_length() - 1
+    table = [0]
+    m = f
+    for _ in range(8):
+        table += [t ^ m for t in table]
+        m <<= 1
+        if m >> n & 1:
+            m ^= f
+    return table
+
+
+def _mod_table(a, table):
+    # a mod f, eight bits a step, with f's _reduction_table (f is table[1])
+    n = table[1].bit_length() - 1
+    k = a.bit_length() - n - 8
+    while k >= 0:
+        a ^= table[a >> (n + k)] << k
+        k = a.bit_length() - n - 8
+    return a ^ table[a >> n]
+
+
+def _reducer(f):
+    """(reduce, key) with reduce(a, key) == a mod f, for many a and one f.
+
+    From degree _REDUCE_TABLE_CUTOVER on, reduce clears eight bits a step
+    with f's table of multiples; below it, building the table costs more
+    than it saves and reduce is _mod_mask itself, called with no wrapper.
+    """
+    if f.bit_length() - 1 < _REDUCE_TABLE_CUTOVER:
+        return _mod_mask, f
+    return _mod_table, _reduction_table(f)
+
+
 def _gcd_mask(a, b):
+    # Euclid with each remainder a mod b computed in place: no call per step
     while b:
-        a, b = b, _mod_mask(a, b)
+        n = b.bit_length()
+        shift = a.bit_length() - n
+        while shift >= 0:
+            a ^= b << shift
+            shift = a.bit_length() - n
+        a, b = b, a
     return a
 
 

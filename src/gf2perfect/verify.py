@@ -367,16 +367,24 @@ def _run_task(task):
     return _CHECKERS[name](*args)
 
 
-def _instances(max_mersenne_degree: int, max_h: int, degree_budget: int):
-    tasks = [("lemma3.7", ()), ("lemma3.20", ()), ("lemma3.9", ())]
+def _run_group(tasks):
+    return [_run_task(t) for t in tasks]
+
+
+def _task_groups(max_mersenne_degree: int, max_h: int, degree_budget: int):
+    # groups (weight, tasks): the checks that factor one sigma(M^2h) share a
+    # group, weighted by its degree 2h*deg(M), so one worker factors it once;
+    # each one-off checker is a group of weight 0
+    groups = [(0, [("lemma3.7", ())]), (0, [("lemma3.20", ())]), (0, [("lemma3.9", ())])]
     for m in enumerate_mersenne_primes(max_mersenne_degree):
+        by_h = {1: [("cor3.28", (m,))]}
         for p in DESK_MERSENNE_NUMBERS:
             if (p - 1) * m.degree <= degree_budget:
-                tasks.append(("cor3.13", (m, p)))
-        tasks.append(("cor3.28", (m,)))
+                by_h.setdefault((p - 1) // 2, []).append(("cor3.13", (m, p)))
         for h in range(1, max_h + 1):
             if 2 * h * m.degree > degree_budget:
                 break
+            tasks = by_h.setdefault(h, [])
             tasks.append(("lemma3.2", (m, h)))
             tasks.append(("thm1.2", (m, h)))
             tasks.append(("cor3.6", (m, h)))
@@ -387,7 +395,8 @@ def _instances(max_mersenne_degree: int, max_h: int, degree_budget: int):
             if _intmath.is_prime(n):
                 tasks.append(("lemma3.8", (m, h)))
             tasks += [("lemma3.4", (m, h, k)) for k in range(1, n + 1) if n % k == 0]
-    return tasks
+        groups += [(2 * h * m.degree, tasks) for h, tasks in by_h.items()]
+    return groups
 
 
 def run_all(
@@ -407,17 +416,19 @@ def run_all(
         return []
     if claim is not None and claim not in CLAIM_IDS and claim not in ("thm1.2-i", "thm1.2-ii"):
         raise ValueError(f"unknown claim {claim!r}; known: {', '.join(CLAIM_IDS)}")
-    tasks = _instances(max_mersenne_degree, max_h, degree_budget)
+    groups = _task_groups(max_mersenne_degree, max_h, degree_budget)
     if claim is not None:
         base = "thm1.2" if claim.startswith("thm1.2") else claim
-        tasks = [t for t in tasks if t[0] == base]
+        groups = [(w, [t for t in tasks if t[0] == base]) for w, tasks in groups]
+        groups = [g for g in groups if g[1]]
     # the pool starts every worker at once, so never ask for more than can run
-    workers = min(jobs, len(tasks), os.cpu_count() or 1)
+    workers = min(jobs, len(groups), os.cpu_count() or 1)
     if workers > 1:
+        groups.sort(key=lambda g: g[0], reverse=True)  # heaviest first
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            reports = list(pool.map(_run_task, tasks, chunksize=16))
+            reports = [r for rs in pool.map(_run_group, [tasks for _, tasks in groups]) for r in rs]
     else:
-        reports = [_run_task(t) for t in tasks]
+        reports = [_run_task(t) for _, tasks in groups for t in tasks]
     if claim is not None and claim.startswith("thm1.2-"):
         reports = [r for r in reports if r.claim_id == claim]
     reports.sort(key=TheoremReport.sort_key)

@@ -12,7 +12,7 @@ from gf2perfect.factor import (
     order_of_x,
     pow_mod,
 )
-from gf2perfect.gf2poly import ONE, X, XP1, BudgetError, Poly, parse
+from gf2perfect.gf2poly import ONE, X, XP1, BudgetError, Poly, _reducer, parse
 from gf2perfect.divisors import sigma
 
 
@@ -67,6 +67,47 @@ def test_factorize_reconstruction_random():
             assert m >= 1
             assert is_irreducible(q)
         assert fact.primes() == tuple(sorted(fact.primes()))
+
+
+def sympy_factors(p):
+    # sympy's dense GF(2) factorization; shares no code with gf2perfect
+    galoistools = pytest.importorskip("sympy.polys.galoistools")
+    from sympy.polys.domains import ZZ
+
+    coeffs = [ZZ(p.coeff(i)) for i in range(int(p.degree), -1, -1)]
+    _, factors = galoistools.gf_factor(coeffs, 2, ZZ)
+    return sorted((Poly(int("".join(str(int(c)) for c in q), 2)), m) for q, m in factors)
+
+
+def test_factorize_matches_sympy_gf_factor():
+    from gf2perfect.mersenne import enumerate_mersenne_primes
+
+    rng = random.Random(53)
+    inputs = [Poly(rng.getrandbits(d) | 1 << d) for d in (8, 17, 30, 45, 64, 65, 90, 120)]
+    inputs += [inputs[1] ** 3 * inputs[3], inputs[2] ** 2 * X**5 * XP1]  # repeated factors
+    primes = enumerate_mersenne_primes(5)
+    inputs += [sigma(m.poly ** (2 * h)) for m, h in ((primes[0], 15), (primes[1], 10), (primes[-1], 6), (primes[-1], 12))]
+    for p in inputs:
+        assert list(factorize(p)) == sympy_factors(p), p
+
+
+def test_distinct_degree_split_rebuilds_its_table_as_f_shrinks(monkeypatch):
+    from gf2perfect import factor
+
+    # known irreducibles of degree 3, 40 and 70: the product is above the
+    # table cutover, and the loop divides the first two out as it meets them
+    p3, p40, p70 = parse("x^3+x+1"), parse("x^40+x^5+x^4+x^3+1"), parse("x^70+x^5+x^3+x+1")
+    product = p3 * p40 * p70
+    moduli = []
+
+    def reducer(f):
+        moduli.append(f)
+        return _reducer(f)
+
+    monkeypatch.setattr(factor, "_reducer", reducer)
+    assert list(factor._distinct_degree_parts(product)) == [(3, p3), (40, p40), (70, p70)]
+    assert moduli == [product.mask, (p40 * p70).mask, p70.mask]  # one table per modulus
+    assert factorize(product).factors == ((p3, 1), (p40, 1), (p70, 1))
 
 
 def test_factorize_high_multiplicities():

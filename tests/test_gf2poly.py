@@ -10,10 +10,16 @@ from gf2perfect.gf2poly import (
     X,
     XP1,
     ZERO,
+    _REDUCE_TABLE_CUTOVER,
     BudgetError,
     Poly,
+    _gcd_mask,
+    _mod_mask,
+    _mod_table,
     _mul_schoolbook,
     _mul_windowed,
+    _reducer,
+    _reduction_table,
     format_poly,
     gcd,
     parse,
@@ -128,6 +134,46 @@ def test_gcd():
             assert g.divides(a)
         if b:
             assert g.divides(b)
+
+
+def test_reducer_matches_mod_mask():
+    # every modulus degree 0..1100, so both sides of the table cutover; the
+    # table kernel is also checked below the cutover, where _reducer skips it
+    rng = random.Random(17)
+    for n in range(1101):
+        f = 1 << n | rng.getrandbits(n)
+        reduce, key = _reducer(f)
+        assert (reduce is _mod_mask) == (n < _REDUCE_TABLE_CUTOVER)
+        table = _reduction_table(f)
+        assert [m >> n for m in table] == list(range(256))  # indexed by bits n..n+7
+        for bits in {0, 1, n, n + 1, n + 7, n + 8, n + 9, 2 * n + 8}:
+            a = rng.getrandbits(bits) | (1 << bits >> 1)  # exactly `bits` bits long
+            assert reduce(a, key) == _mod_table(a, table) == _mod_mask(a, f), (n, bits)
+
+
+def gcd_reference(a, b):
+    # textbook Euclid on Poly values, remainders from long division
+    p, q = Poly(a), Poly(b)
+    while q:
+        p, q = q, divmod(p, q)[1]
+    return p.mask
+
+
+def test_gcd_kernel_matches_reference_euclid():
+    rng = random.Random(19)
+    for _ in range(2000):
+        a = rng.getrandbits(rng.randrange(0, 300))
+        b = rng.getrandbits(rng.randrange(0, 300))
+        if a or b:
+            assert _gcd_mask(a, b) == _gcd_mask(b, a) == gcd_reference(a, b), (a, b)
+    common = parse("x^7+x^3+1").mask
+    for _ in range(200):  # a shared factor, so the gcd is not 1
+        a = _mul_schoolbook(common, rng.getrandbits(rng.randrange(1, 120)) | 1)
+        b = _mul_schoolbook(common, rng.getrandbits(rng.randrange(1, 120)) | 1)
+        assert _gcd_mask(a, b) == gcd_reference(a, b)
+        assert _mod_mask(_gcd_mask(a, b), common) == 0
+    for a in (1, 2, 0b1011, 1 << 500 | 1):
+        assert _gcd_mask(a, 0) == _gcd_mask(0, a) == a
 
 
 def test_pow():
