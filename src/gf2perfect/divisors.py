@@ -63,12 +63,17 @@ def _sigma_prime_power_naive(prime: Poly, n: int) -> Poly:
     return acc
 
 
-@lru_cache(maxsize=8192)
-def _sigma_cached(mask: int) -> Poly:
+def sigma_of_factored(fact: Factorization) -> Poly:
+    """sigma of the polynomial whose complete factorization is fact."""
     out = ONE
-    for prime, n in factorize(Poly(mask)):
+    for prime, n in fact:
         out = out * _sigma_prime_power(prime, n)
     return out
+
+
+@lru_cache(maxsize=8192)
+def _sigma_cached(mask: int) -> Poly:
+    return sigma_of_factored(factorize(Poly(mask)))
 
 
 def sigma(a: Poly) -> Poly:

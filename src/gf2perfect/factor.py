@@ -14,6 +14,14 @@ they square with the Frobenius spread and reduce with a per-modulus byte
 table (gf2poly._reducer), built once per modulus and rebuilt whenever the
 distinct-degree loop divides a factor out; the loop's gcds are the fused
 Euclid kernel.
+
+factorize_composed factors c(p), the polynomial c with p substituted for
+x, one irreducible factor q of c at a time: c(p) is the product of the
+q(p)^e, and each q(p) is usually far smaller than c(p).  The divisor
+sums sigma(P^n) = (1 + z + ... + z^n)(P) and sigma*(P^n) = (z^n + 1)(P)
+of an irreducible P reach factorize only as these pieces; a piece that
+recurs (z^2 + z + 1 divides 1 + z + ... + z^2h whenever 3 | 2h + 1) is
+answered from factorize's cache.
 """
 
 from __future__ import annotations
@@ -23,7 +31,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from . import _intmath
-from .gf2poly import ONE, X, BudgetError, Poly, _divmod_mask, _gcd_mask, _reducer, _sqr_mask, gcd
+from .gf2poly import ONE, X, BudgetError, Poly, _divmod_mask, _gcd_mask, _mul_mask, _reducer, _sqr_mask, gcd
 
 #: is_primitive refuses degrees whose group order 2^r - 1 exceeds this.
 PRIMITIVITY_DEGREE_CAP = 64
@@ -175,6 +183,42 @@ def factorize(p: Poly) -> Factorization:
     if not p:
         raise ValueError("cannot factor the zero polynomial")
     return _factorize_cached(p.mask)
+
+
+def _compose_mask(c: int, p: int) -> int:
+    # c(p) by Horner's rule, top coefficient first
+    acc = 0
+    for i in range(c.bit_length() - 1, -1, -1):
+        acc = _mul_mask(acc, p) ^ (c >> i & 1)
+    return acc
+
+
+@lru_cache(maxsize=8192)
+def _factorize_composed_cached(c_mask: int, p_mask: int) -> Factorization:
+    counts: dict[Poly, int] = {}
+    for q, e in factorize(Poly(c_mask)):
+        for r, f in factorize(Poly(_compose_mask(q.mask, p_mask))):
+            counts[r] = counts.get(r, 0) + e * f
+    return Factorization(factors=tuple(sorted(counts.items())))
+
+
+def factorize_composed(c: Poly, p: Poly) -> Factorization:
+    """Complete factorization of c(p), c with p substituted for x.
+
+    c is factored first, c = prod q^e over distinct irreducibles q; then
+    c(p) = prod q(p)^e, since substitution is a ring homomorphism, and
+    each q(p) is factored on its own.  For distinct q and q' the pieces
+    q(p) and q'(p) are coprime: a common root beta would make p(beta) a
+    common root of q and q', which have none.  So every irreducible of
+    c(p) comes from exactly one piece, with e times its multiplicity
+    there.  This holds for any p and for repeated factors of c alike;
+    nothing about the degrees of the pieces' factors is assumed.  The
+    result equals factorize(c(p)); a constant p with c(p) = 0 raises
+    ValueError as factorize does.
+    """
+    if not c:
+        raise ValueError("cannot factor the zero polynomial")
+    return _factorize_composed_cached(c.mask, p.mask)
 
 
 def omega(p: Poly) -> int:

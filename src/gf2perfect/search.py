@@ -19,11 +19,11 @@ from __future__ import annotations
 from array import array
 from dataclasses import dataclass
 
-from .divisors import canonical_class_rep, is_indecomposable, sigma, sigma_star
-from .factor import factorize
+from .divisors import canonical_class_rep, is_indecomposable
+from .factor import factorize, factorize_composed
 # bench/trace_launch.py wraps search._mul_mask and search._divmod_mask by
 # name, so both stay imported here even though only _mul_mask is called.
-from .gf2poly import X, XP1, BudgetError, Poly, _divmod_mask, _mul_mask
+from .gf2poly import ONE, X, XP1, BudgetError, Poly, _divmod_mask, _mul_mask
 from .mersenne import catalog, enumerate_mersenne_primes, mersenne_form
 
 #: Hard guard for the exhaustive family=all search (2^(D+1) sigma values).
@@ -68,9 +68,11 @@ def _part_sigma_table(cfg: SearchConfig):
     shift = {p: width * i for i, p in enumerate([X, XP1, *primes])}
 
     def part_sum(base: Poly, e: int):
-        value = sigma_star(base**e) if unitary else sigma(base**e)
+        # base is irreducible, so sigma*(base^e) = c(base) with c = z^e + 1
+        # and sigma(base^e) = c(base) with c = 1 + z + ... + z^e
+        c = X**e + ONE if unitary else (X ** (e + 1) + ONE) // XP1
         packed = 0
-        for p, m in factorize(value):
+        for p, m in factorize_composed(c, base):
             if p not in shift:
                 return None
             packed += m << shift[p]

@@ -22,8 +22,8 @@ from dataclasses import dataclass
 
 from . import _intmath
 from ._intmath import euler_phi
-from .divisors import sigma
-from .factor import count_irreducibles, factorize, is_irreducible, is_primitive
+from .divisors import sigma, sigma_of_factored
+from .factor import count_irreducibles, factorize_composed, is_irreducible, is_primitive
 from .gf2poly import ONE, X, XP1, Poly
 from .mersenne import MersennePrime, catalog, enumerate_mersenne_primes, in_delta, mersenne_form, mersenne_poly
 
@@ -65,9 +65,11 @@ def _m_params(m: MersennePrime, **extra):
 
 
 def _sigma_power(m: MersennePrime, n: int):
-    # sigma(M^n) and its factorization; both layers cache by mask
+    # sigma(M^n) and its factorization.  sigma(M^n) = c_n(M) with
+    # c_n = 1 + z + ... + z^n, factored one irreducible piece q(M) of c_n
+    # at a time; every layer caches by mask
     s = sigma(m.poly**n)
-    return s, factorize(s)
+    return s, factorize_composed((X ** (n + 1) + ONE) // XP1, m.poly)
 
 
 def _classify_factors(fact):
@@ -135,9 +137,9 @@ def check_U_split_square(m: MersennePrime, h: int) -> TheoremReport:
     not Mersenne the premise fails; the report then records which of the
     conclusions concretely fail for this instance.
     """
-    s, fact = _sigma_power(m, 2 * h)
+    _, fact = _sigma_power(m, 2 * h)
     _, other = _classify_factors(fact)
-    u2h = sigma(s)
+    u2h = sigma_of_factored(fact)
     u = u2h.valuation(X)
     v = u2h.valuation(XP1)
     splits = (XP1**v << u) == u2h
@@ -183,8 +185,8 @@ def check_alpha3_u2h(m: MersennePrime, h: int) -> TheoremReport:
     """alpha_3 of the double divisor sum equals 1 for M = x^3+x+1 when
     2h+1 is a prime other than 3, 5, 7; other instances are reported out
     of scope with the computed coefficient attached."""
-    s, _ = _sigma_power(m, 2 * h)
-    u2h = sigma(s)
+    _, fact = _sigma_power(m, 2 * h)
+    u2h = sigma_of_factored(fact)
     low = m.poly ** (2 * h - 1)
     witness = {
         "alpha3_U": u2h.alpha(3),
@@ -206,7 +208,7 @@ def check_alpha3_u2(m: MersennePrime) -> TheoremReport:
     prime factors."""
     cat = catalog()
     s, fact = _sigma_power(m, 2)
-    u2 = sigma(s)
+    u2 = sigma_of_factored(fact)
     witness = {
         "omega": len(fact),
         "alpha3_U2": u2.alpha(3),
@@ -339,7 +341,7 @@ def explore_alpha_u6(m: MersennePrime) -> list[tuple[int, int]]:
     Exploration only: the open question is whether some odd l always has
     alpha_l = 0 here.  Nothing is asserted.
     """
-    u6 = sigma(sigma(m.poly**6))
+    u6 = sigma_of_factored(_sigma_power(m, 6)[1])
     return [(l, u6.alpha(l)) for l in range(int(u6.degree) + 1)]
 
 

@@ -6,6 +6,7 @@ from gf2perfect import euler_phi
 from gf2perfect.factor import (
     count_irreducibles,
     factorize,
+    factorize_composed,
     is_irreducible,
     is_primitive,
     is_squarefree,
@@ -89,6 +90,44 @@ def test_factorize_matches_sympy_gf_factor():
     inputs += [sigma(m.poly ** (2 * h)) for m, h in ((primes[0], 15), (primes[1], 10), (primes[-1], 6), (primes[-1], 12))]
     for p in inputs:
         assert list(factorize(p)) == sympy_factors(p), p
+
+
+def test_factorize_composed_matches_factorize_of_the_whole():
+    from gf2perfect.mersenne import enumerate_mersenne_primes
+
+    # every c(p) is built without substitution: sigma(M^n) through the
+    # divisors layer, 1 + M^e directly, c(x+1) with bar
+    for m in enumerate_mersenne_primes(6):
+        for n in range(1, 61):  # odd n: (z+1)^(2^k - 1) divides c_n when 2^k || n+1
+            c = Poly((1 << n + 1) - 1)  # 1 + z + ... + z^n
+            assert factorize_composed(c, m.poly) == factorize(sigma(m.poly**n)), (m.poly, n)
+        for e in range(1, 41):
+            assert factorize_composed(Poly(1 << e | 1), m.poly) == factorize(ONE + m.poly**e), (m.poly, e)
+    m1, m2 = parse("x^2+x+1"), parse("x^3+x+1")
+    repeated = [X**4 * XP1**7 * m1**3 * m2**2, XP1**8, m1**2 * m2**5, XP1 * X**3 * parse("x^5+x^2+1") ** 4]
+    for c in repeated:
+        assert factorize_composed(c, X) == factorize(c)
+        assert factorize_composed(c, XP1) == factorize(c.bar())
+    assert factorize_composed(ONE, m1).factors == ()
+    with pytest.raises(ValueError):
+        factorize_composed(Poly(0), m1)
+
+
+def test_factorize_composed_matches_sympy_gf_factor():
+    m3, m5, m6 = parse("x^3+x+1"), parse("x^5+x^3+1"), parse("x^6+x^5+1")
+    cases = [
+        (Poly((1 << 40) - 1), m3),  # sigma(M^39) = (M+1)^7 (M^4+M^3+M^2+M+1)^8
+        (Poly((1 << 23) - 1), m5),  # sigma(M^22): two pieces of degree 11 in z
+        (Poly((1 << 21) - 1), m6),  # sigma(M^20): pieces of degree 2, 3, 3, 6, 6 in z
+        (Poly(1 << 24 | 1), m5),  # sigma*(M^24) = (M+1)^8 (M^2+M+1)^8
+        (XP1**3 * parse("x^2+x+1") ** 2 * parse("x^4+x+1"), m6),
+    ]
+    for c, p in cases:
+        whole = Poly(0)
+        for i in range(int(c.degree), -1, -1):
+            whole = whole * p + Poly(c.coeff(i))
+        assert whole.degree <= 120
+        assert list(factorize_composed(c, p)) == sympy_factors(whole), (c, p)
 
 
 def test_distinct_degree_split_rebuilds_its_table_as_f_shrinks(monkeypatch):

@@ -184,6 +184,29 @@ def test_pow():
     assert p**0 == ONE
 
 
+def pow_reference(p, n):
+    # square-and-multiply through Poly's product, not __pow__
+    result, base = ONE, p
+    while n:
+        if n & 1:
+            result = result * base
+        base = base * base
+        n >>= 1
+    return result
+
+
+def test_pow_monomial_fast_path():
+    for k in range(71):
+        xk = Poly.monomial(k)
+        for n in range(301):
+            assert xk**n == pow_reference(xk, n), (k, n)
+    for mask in range(1 << 9):  # p**0 == 1 for every p, 0 included
+        assert Poly(mask) ** 0 == ONE
+    assert ZERO**5 == ZERO
+    for mask in (0b110, 0b1011, 0b10001):  # not monomials: the loop path
+        assert Poly(mask) ** 13 == pow_reference(Poly(mask), 13)
+
+
 def test_frobenius_spread():
     rng = random.Random(13)
     for _ in range(300):

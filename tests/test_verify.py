@@ -183,9 +183,10 @@ def test_run_all_jobs_match_serial():
 def test_run_all_sharded_by_sigma_power_match_serial():
     # cold caches, so the workers factor every sigma(M^2h) themselves
     from gf2perfect.divisors import _sigma_cached
-    from gf2perfect.factor import _factorize_cached
+    from gf2perfect.factor import _factorize_cached, _factorize_composed_cached
 
     _factorize_cached.cache_clear()
+    _factorize_composed_cached.cache_clear()
     _sigma_cached.cache_clear()
     parallel = run_all(6, 12, jobs=2)
     assert [r.to_json() for r in parallel] == [r.to_json() for r in run_all(6, 12)]
