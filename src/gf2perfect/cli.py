@@ -215,7 +215,7 @@ def main(argv=None) -> int:
     with out as fh:
         try:
             lines, code = _COMMANDS[args.command](args)
-        except (ValueError, ZeroDivisionError, BudgetError) as exc:
+        except (ValueError, ArithmeticError, BudgetError) as exc:  # ZeroDivisionError is an ArithmeticError
             print(f"error: {exc}", file=sys.stderr)
             return 2
         try:

@@ -13,10 +13,13 @@ deg(p*q) = deg(p) + deg(q) stay testable.
 
 Multiplication uses a windowed carry-less kernel when both operands are
 dense and a schoolbook shift-XOR loop otherwise; both produce bit-identical
-results.  Repeated reduction modulo one f (the factoring loops square and
-reduce many times per modulus) goes through _reducer: from a cutover
-degree on it builds the 256 multiples of f once and clears eight bits a
-step; below it, it is the bit-at-a-time _mod_mask.  The gcd kernel runs
+results.  Squaring moves bit i to bit 2i, so it reads a's binary digits
+as base-4 digits with the interpreter's own conversions, and the square
+root reads hex digits back as base-4 ones; neither keeps a table.
+Repeated reduction modulo one f (the factoring loops square and reduce
+many times per modulus) goes through _reducer: from a cutover degree on
+it builds the 256 multiples of f once and clears eight bits a step;
+below it, it is the bit-at-a-time _mod_mask.  The gcd kernel runs
 Euclid with each remainder computed inline, with no call per remainder
 step.
 """
@@ -48,49 +51,19 @@ class BudgetError(RuntimeError):
     """A computation was refused because it exceeds a configured cost cap."""
 
 
-def _spread_table():
-    # byte -> 16-bit value with the byte's bits moved to even positions
-    table = []
-    for v in range(256):
-        s = 0
-        for i in range(8):
-            if v >> i & 1:
-                s |= 1 << (2 * i)
-        table.append(s)
-    return table
-
-
-def _compress_table():
-    # 16-bit value -> byte collecting the bits at even positions
-    table = [0] * 65536
-    for v in range(1, 65536):
-        table[v] = table[v >> 2] << 1 | (v & 1)
-    return table
-
-
-_SPREAD16 = _spread_table()
-_COMPRESS16 = _compress_table()
-
-
 def _sqr_mask(a):
-    # Frobenius: squaring spreads bit i to bit 2i
-    out = 0
-    shift = 0
-    while a:
-        out |= _SPREAD16[a & 0xFF] << shift
-        a >>= 8
-        shift += 16
-    return out
+    # Frobenius: squaring spreads bit i to bit 2i, so a's binary digits
+    # read in base 4 are its square
+    return int(bin(a)[2:], 4)
+
+
+# hex digit -> base-4 digit made of its bits 0 and 2
+_HALVE_HEX = str.maketrans("0123456789abcdef", "".join(str(h & 1 | h >> 1 & 2) for h in range(16)))
 
 
 def _sqrt_mask(a):
-    out = 0
-    shift = 0
-    while a:
-        out |= _COMPRESS16[a & 0xFFFF] << shift
-        a >>= 16
-        shift += 8
-    return out
+    # inverse of _sqr_mask on the even bits: bits 2i move to bit i, odd bits are dropped
+    return int(hex(a)[2:].translate(_HALVE_HEX), 4)
 
 
 def _mul_schoolbook(a, b):
@@ -103,15 +76,21 @@ def _mul_schoolbook(a, b):
     return acc
 
 
+def _byte_multiples(a):
+    # a * i for every byte i, by doubling: entry i is the XOR of a << j over the bits j of i
+    table = [0]
+    for _ in range(8):
+        table += [t ^ a for t in table]
+        a <<= 1
+    return table
+
+
 def _mul_windowed(a, b):
     # precompute all 8-bit multiples of the longer operand, then scan the
     # shorter one byte at a time
     if a.bit_length() < b.bit_length():
         a, b = b, a
-    table = [0]
-    for _ in range(8):
-        table += [t ^ a for t in table]
-        a <<= 1
+    table = _byte_multiples(a)
     acc = 0
     shift = 0
     while b:

@@ -8,7 +8,8 @@ is dropped (that prime would divide the whole polynomial, so nothing is
 lost).  The enumeration then only adds and compares integers.  The
 brute-force search makes no assumption about which primes appear: one
 linear-sieve pass over all coefficient masks gives each mask's divisor
-sum from a smaller mask's, and it tests sigma(A) = A literally.  It is
+sum from a smaller mask's, with its products written inline rather than
+through _mul_mask, and it tests sigma(A) = A literally.  It is
 the oracle the structured route is checked against up to
 BRUTEFORCE_MAX_DEGREE, the degree of T8 and T9.  Both return the sorted
 hits; classify_hits groups and flags them.
@@ -18,12 +19,14 @@ from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass
+from itertools import compress
+from operator import eq, not_
 
 from .divisors import canonical_class_rep, is_indecomposable
 from .factor import factorize, factorize_composed
 # bench/trace_launch.py wraps search._mul_mask and search._divmod_mask by
-# name, so both stay imported here even though only _mul_mask is called.
-from .gf2poly import ONE, X, XP1, BudgetError, Poly, _divmod_mask, _mul_mask
+# name, so both stay imported here although search calls neither.
+from .gf2poly import ONE, X, XP1, BudgetError, Poly, _byte_multiples, _divmod_mask, _mul_mask
 from .mersenne import catalog, enumerate_mersenne_primes, mersenne_form
 
 #: Hard guard for the exhaustive family=all search (2^(D+1) sigma values).
@@ -141,44 +144,84 @@ def search_structured(cfg: SearchConfig) -> list[Poly]:
 def _divisor_sum_tables(max_degree: int, unitary: bool):
     """sigma (or sigma*) of every mask of degree <= max_degree, by linear sieve.
 
-    Masks are visited in increasing order; an unmarked mask is prime.
-    Each composite v is written exactly once, as p * q with p = spf[v]
-    its least prime and q already final (Gries & Misra's linear sieve).
-    rest[q] is q with every factor p = spf[q] divided out, so q = p^k r,
-    v = p^(k+1) r, and the divisor sum of v follows from q's and r's by
-    multiplicativity.  Every entry is a mask below 2^(max_degree + 1).
+    Masks are visited in increasing order, in bands of one degree; an
+    unmarked mask is prime.  Each composite v is written exactly once, as
+    p * q with p = spf[v] its least prime and q already final (Gries &
+    Misra's linear sieve).  rest[q] is q with every factor p = spf[q]
+    divided out, so q = p^k r, v = p^(k+1) r, and the divisor sum of v
+    follows from q's and r's by multiplicativity.  No product goes
+    through _mul_mask: p = x and p = x+1, the least prime of most
+    composites, multiply as q << 1 and q ^ q << 1, and every other least
+    prime (degree 2 .. max_degree / 2) multiplies through its own table
+    of byte multiples, three lookups for an operand below 2^24.  Within a
+    band the room left, and so the list of usable primes, is fixed.
+    Every entry is a mask below 2^(max_degree + 1).
     """
+    if not 1 <= max_degree <= 25:  # q and its divisor sum, of degree <= max_degree - 2, must fit in three bytes
+        raise ValueError(f"divisor-sum tables are built for degree 1 to 25, got {max_degree}")
     limit = 1 << (max_degree + 1)
     spf = array("I", bytes(4 * limit))
     rest = array("I", bytes(4 * limit))
     table = array("I", bytes(4 * limit))
     table[1] = 1
-    primes = []  # only primes of degree <= max_degree / 2 are ever a least factor
-    for q in range(2, limit):
-        room = max_degree + 1 - q.bit_length()  # max_degree - deg q
-        sq = spf[q]
-        if not sq:
-            sq = spf[q] = q
-            rest[q] = 1
-            table[q] = q ^ 1
-            if room >= q.bit_length() - 1:
-                primes.append(q)
-        sigma_q = table[q]
-        for p in primes:
-            if p > sq or p.bit_length() - 1 > room:
-                break
-            v = _mul_mask(p, q)
-            spf[v] = p
-            if p < sq:  # p does not divide q
-                rest[v] = q
-                table[v] = _mul_mask(p ^ 1, sigma_q)
-            else:
-                r = rest[q]
-                rest[v] = r
+    others = []  # (p, byte multiples of p) for each prime p of degree 2 .. max_degree / 2
+    for d in range(1, max_degree):
+        room = max_degree - d  # a least prime p may have degree <= room
+        # a prime of this band is appended to others iff d <= room, and then p = q is usable
+        usable = others if d <= room else [(p, m) for p, m in others if p.bit_length() - 1 <= room]
+        for q in range(1 << d, 2 << d):
+            sq = spf[q]
+            if not sq:
+                sq = spf[q] = q
+                rest[q] = 1
+                table[q] = q ^ 1
+                if 2 <= d <= room:
+                    others.append((q, array("I", _byte_multiples(q))))
+            s = table[q]
+            v = q << 1  # p = x, sigma(x) = sigma*(x) = x + 1
+            spf[v] = 2
+            if sq == 2:
+                r = rest[v] = rest[q]
+                t = table[r]
+                table[v] = s << 1 ^ (t ^ t << 1 if unitary else t)
+                continue
+            rest[v] = q
+            table[v] = s ^ s << 1
+            v ^= q  # p = x + 1, sigma(x + 1) = sigma*(x + 1) = x
+            spf[v] = 3
+            if sq == 3:
+                r = rest[v] = rest[q]
+                t = table[r]
+                table[v] = s ^ s << 1 ^ (t << 1 if unitary else t)
+                continue
+            rest[v] = q
+            table[v] = s << 1
+            if not usable:
+                continue
+            # sq is a prime of degree >= 2, so usable's first prime x^2 + x + 1 is <= sq
+            q0, q1, q2 = q & 255, q >> 8 & 255, q >> 16
+            s0, s1, s2 = s & 255, s >> 8 & 255, s >> 16
+            for p, m in usable:
+                if p > sq:
+                    break
+                v = m[q0] ^ m[q1] << 8 ^ m[q2] << 16
+                ps = m[s0] ^ m[s1] << 8 ^ m[s2] << 16
+                spf[v] = p
+                if p < sq:  # p does not divide q: (p + 1) * s
+                    rest[v] = q
+                    table[v] = ps ^ s
+                    continue
+                r = rest[v] = rest[q]
+                t = table[r]
                 if unitary:  # sigma*(p^(k+1)) = p * sigma*(p^k) + p + 1
-                    table[v] = _mul_mask(p, sigma_q) ^ _mul_mask(p ^ 1, table[r])
+                    table[v] = ps ^ m[t & 255] ^ m[t >> 8 & 255] << 8 ^ m[t >> 16] << 16 ^ t
                 else:  # sigma(p^(k+1)) = p * sigma(p^k) + 1
-                    table[v] = _mul_mask(p, sigma_q) ^ table[r]
+                    table[v] = ps ^ t
+    top = 1 << max_degree  # the top band writes no product: only its primes, the masks left unmarked
+    for q in compress(range(top, limit), map(not_, memoryview(spf)[top:])):
+        spf[q] = q
+        rest[q] = 1
+        table[q] = q ^ 1
     return table
 
 
@@ -187,7 +230,8 @@ def search_bruteforce(cfg: SearchConfig) -> list[Poly]:
     if cfg.max_degree > BRUTEFORCE_MAX_DEGREE:
         raise BudgetError(f"family=all search is guarded at degree {BRUTEFORCE_MAX_DEGREE}")
     table = _divisor_sum_tables(cfg.max_degree, cfg.mode == "unitary")
-    return [Poly(m) for m in range(2, 1 << (cfg.max_degree + 1)) if table[m] == m]
+    masks = range(len(table))
+    return [Poly(m) for m in compress(masks, map(eq, table, masks)) if m > 1]
 
 
 @dataclass(frozen=True)

@@ -17,7 +17,6 @@ from __future__ import annotations
 import json
 import os
 import random
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 from . import _intmath
@@ -426,6 +425,8 @@ def run_all(
     # the pool starts every worker at once, so never ask for more than can run
     workers = min(jobs, len(groups), os.cpu_count() or 1)
     if workers > 1:
+        from concurrent.futures import ProcessPoolExecutor  # a serial run never loads multiprocessing
+
         groups.sort(key=lambda g: g[0], reverse=True)  # heaviest first
         with ProcessPoolExecutor(max_workers=workers) as pool:
             reports = [r for rs in pool.map(_run_group, [tasks for _, tasks in groups]) for r in rs]

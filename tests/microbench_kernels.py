@@ -1,0 +1,86 @@
+"""Microbenchmarks of the mask kernels, one layer below the CLI benchmark.
+
+    PYTHONPATH=src python -m pytest tests/microbench_kernels.py
+    PYTHONPATH=src python -m pytest tests/microbench_kernels.py --benchmark-disable   # each once, as a smoke test
+
+The file name is outside the tier-1 `test_*.py` pattern, so the tier-1
+suite never collects it.  Inputs come from fixed seeds; every benchmark
+also checks its result, so a timing is never of a wrong answer.
+"""
+
+import random
+
+import pytest
+
+from gf2perfect.factor import is_irreducible
+from gf2perfect.gf2poly import (
+    _MUL_WINDOW_CUTOVER,
+    Poly,
+    _gcd_mask,
+    _mod_mask,
+    _mul_mask,
+    _reducer,
+    _sqr_mask,
+    _sqrt_mask,
+)
+from gf2perfect.search import _divisor_sum_tables
+
+DEGREES = (64, 256, 1024)
+
+
+def random_mask(degree, seed):
+    # a random polynomial of exactly this degree
+    return random.Random(seed).getrandbits(degree) | 1 << degree
+
+
+@pytest.mark.parametrize("unitary", [False, True], ids=["sigma", "sigma_star"])
+def test_divisor_sum_tables_16(benchmark, unitary):
+    table = benchmark(_divisor_sum_tables, 16, unitary)
+    assert table[0b111] == 0b110  # sigma(x^2+x+1) = sigma*(x^2+x+1) = x^2+x
+
+
+@pytest.mark.parametrize("degree", DEGREES)
+def test_sqr_mask(benchmark, degree):
+    a = random_mask(degree, degree)
+    assert benchmark(_sqr_mask, a) == _mul_mask(a, a)
+
+
+@pytest.mark.parametrize("degree", DEGREES)
+def test_sqrt_mask(benchmark, degree):
+    a = random_mask(degree, degree)
+    assert benchmark(_sqrt_mask, _sqr_mask(a)) == a
+
+
+@pytest.mark.parametrize("set_bits", [_MUL_WINDOW_CUTOVER // 2, 2 * _MUL_WINDOW_CUTOVER], ids=["schoolbook", "windowed"])
+def test_mul_mask(benchmark, set_bits):
+    # both operands of degree 1024 with this many set bits: below the cutover
+    # the schoolbook loop runs, above it the windowed kernel
+    rng = random.Random(set_bits)
+    a, b = (sum(1 << i for i in {1024, *rng.sample(range(1024), set_bits - 1)}) for _ in range(2))
+    assert benchmark(_mul_mask, a, b) == _mul_mask(b, a)
+
+
+@pytest.mark.parametrize("degree", DEGREES)
+def test_gcd_mask(benchmark, degree):
+    common = random_mask(degree // 2, 1)
+    a = _mul_mask(common, random_mask(degree // 2, 2))
+    b = _mul_mask(common, random_mask(degree // 2 - 1, 3))
+    g = benchmark(_gcd_mask, a, b)
+    assert _mod_mask(a, g) == _mod_mask(b, g) == 0 and _mod_mask(g, common) == 0
+
+
+@pytest.mark.parametrize("degree", DEGREES)
+def test_reducer(benchmark, degree):
+    # one squaring's worth of reduction, as the factoring loops do it
+    f = random_mask(degree, degree)
+    reduce, key = _reducer(f)
+    a = _sqr_mask(random_mask(degree - 1, degree + 1))
+    assert benchmark(reduce, a, key) == _mod_mask(a, f)
+
+
+@pytest.mark.parametrize("degree, taps", [(64, (4, 3, 1)), (256, (10, 5, 2)), (1024, (19, 6, 1))])
+def test_is_irreducible(benchmark, degree, taps):
+    # an irreducible pentanomial x^degree + x^a + x^b + x^c + 1, so Ben-Or's
+    # loop runs to degree/2 (no irreducible trinomial has degree 8k)
+    p = Poly(1 << degree | sum(1 << t for t in taps) | 1)
+    assert benchmark(is_irreducible, p)

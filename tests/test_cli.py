@@ -6,6 +6,7 @@ import time
 
 import pytest
 
+from gf2perfect import cli
 from gf2perfect.cli import main
 
 
@@ -227,6 +228,19 @@ def test_out_unwritable_fails_before_the_command_runs(tmp_path, capsys):
     assert code == 2
     assert captured.err.startswith(f"error: cannot write {target}:")
     assert elapsed < 2.0
+
+
+def test_arithmetic_error_exits_2(capsys, monkeypatch):
+    # _intmath._pollard_rho raises ArithmeticError when rho cannot split n
+    def failing(args):
+        raise ArithmeticError("rho failed to split 91")
+
+    monkeypatch.setitem(cli._COMMANDS, "factor", failing)
+    code = main(["factor", "x"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == "error: rho failed to split 91\n"
 
 
 @pytest.mark.parametrize(

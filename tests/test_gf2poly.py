@@ -16,10 +16,13 @@ from gf2perfect.gf2poly import (
     _gcd_mask,
     _mod_mask,
     _mod_table,
+    _mul_mask,
     _mul_schoolbook,
     _mul_windowed,
     _reducer,
     _reduction_table,
+    _sqr_mask,
+    _sqrt_mask,
     format_poly,
     gcd,
     parse,
@@ -214,6 +217,15 @@ def test_frobenius_spread():
         assert p**2 == p * p
         if p:
             assert (p**2).mask == sum(1 << (2 * i) for i in range(int(p.degree) + 1) if p.coeff(i))
+
+
+def test_sqr_sqrt_base_conversions():
+    # the base-4 readings against the product itself, up to 4096 bits
+    rng = random.Random(31)
+    masks = [0, 1, 2, 3] + [rng.getrandbits(rng.randrange(1, 4097)) for _ in range(300)]
+    for a in masks:
+        assert _sqr_mask(a) == _mul_mask(a, a)
+        assert _sqrt_mask(_sqr_mask(a)) == a
 
 
 def test_bar():

@@ -1,3 +1,5 @@
+from functools import cache
+
 import pytest
 
 from gf2perfect.divisors import canonical_class_rep, check, sigma, sigma_star
@@ -65,9 +67,15 @@ def test_divisor_sum_table_entries():
                         assert table[m.mask] == divisor_sum(m).mask, (p, k, r)
 
 
+@cache
+def bruteforce_at_20(mode):
+    # one exhaustive scan per mode, shared by the degree-20 tests
+    return search_bruteforce(SearchConfig(20, mode))
+
+
 def test_bruteforce_classification_at_degree_20():
     # the exhaustive route, assuming nothing about the odd primes
-    report = classify_hits(search_bruteforce(SearchConfig(20)), "perfect")
+    report = classify_hits(bruteforce_at_20("perfect"), "perfect")
     trivial = {(X * XP1) ** (2**n - 1) for n in range(1, 4)}  # degree 2, 6, 14
     known = {CAT.lookup(f"T{i}") for i in range(1, 10)}
     sporadic = parse("x(x+1)^2(x^2+x+1)^2(x^4+x+1)")
@@ -75,6 +83,19 @@ def test_bruteforce_classification_at_degree_20():
     assert {c.rep for c in report.classes if c.trivial} == trivial
     assert {c.rep for c in report.classes if c.in_catalog} == known
     assert {c.rep for c in report.flagged} == {sporadic, sporadic.bar()}
+
+
+def test_bruteforce_unitary_classification_at_degree_20():
+    report = classify_hits(bruteforce_at_20("unitary"), "unitary")
+    assert len(report.classes) == 9
+    assert len(report.flagged) == 2
+    assert all(c.in_catalog or c.trivial or c.outside_scope for c in report.classes)
+
+
+@pytest.mark.parametrize("mode", ["perfect", "unitary"])
+def test_structured_vs_bruteforce_degree_20(mode):
+    brute = bruteforce_at_20(mode)
+    assert [p for p in brute if mersenne_only_odd_part(p)] == search_structured(SearchConfig(20, mode))
 
 
 def test_structured_smallest():

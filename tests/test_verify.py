@@ -1,3 +1,4 @@
+import concurrent.futures
 import json
 
 import pytest
@@ -210,7 +211,7 @@ def test_run_all_clamps_workers(monkeypatch):
         def map(self, fn, tasks, chunksize=1):
             return map(fn, tasks)
 
-    monkeypatch.setattr(verify, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
     monkeypatch.setattr(verify.os, "cpu_count", lambda: 4)
     serial = [r.to_json() for r in run_all(4, 2)]
     assert [r.to_json() for r in run_all(4, 2, jobs=5000)] == serial
