@@ -10,7 +10,6 @@ literally enumerate divisors are provided for cross-checking.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import product
 
 from .factor import Factorization, factorize, is_irreducible
@@ -71,16 +70,11 @@ def sigma_of_factored(fact: Factorization) -> Poly:
     return out
 
 
-@lru_cache(maxsize=8192)
-def _sigma_cached(mask: int) -> Poly:
-    return sigma_of_factored(factorize(Poly(mask)))
-
-
 def sigma(a: Poly) -> Poly:
     """Sum of all divisors of a nonzero polynomial."""
     if not a:
         raise ValueError("sigma is undefined for the zero polynomial")
-    return _sigma_cached(a.mask)
+    return sigma_of_factored(factorize(a))
 
 
 def sigma_star(a: Poly) -> Poly:

@@ -19,9 +19,10 @@ factorize_composed factors c(p), the polynomial c with p substituted for
 x, one irreducible factor q of c at a time: c(p) is the product of the
 q(p)^e, and each q(p) is usually far smaller than c(p).  The divisor
 sums sigma(P^n) = (1 + z + ... + z^n)(P) and sigma*(P^n) = (z^n + 1)(P)
-of an irreducible P reach factorize only as these pieces; a piece that
-recurs (z^2 + z + 1 divides 1 + z + ... + z^2h whenever 3 | 2h + 1) is
-answered from factorize's cache.
+of an irreducible P reach factorize only as these pieces.  verify splits
+each sigma(M^n) once per (M, n); a piece that recurs across n
+(z^2 + z + 1 divides 1 + z + ... + z^2h whenever 3 | 2h + 1) is answered
+from factorize's cache, the only cache in this module.
 """
 
 from __future__ import annotations
@@ -193,15 +194,6 @@ def _compose_mask(c: int, p: int) -> int:
     return acc
 
 
-@lru_cache(maxsize=8192)
-def _factorize_composed_cached(c_mask: int, p_mask: int) -> Factorization:
-    counts: dict[Poly, int] = {}
-    for q, e in factorize(Poly(c_mask)):
-        for r, f in factorize(Poly(_compose_mask(q.mask, p_mask))):
-            counts[r] = counts.get(r, 0) + e * f
-    return Factorization(factors=tuple(sorted(counts.items())))
-
-
 def factorize_composed(c: Poly, p: Poly) -> Factorization:
     """Complete factorization of c(p), c with p substituted for x.
 
@@ -218,7 +210,11 @@ def factorize_composed(c: Poly, p: Poly) -> Factorization:
     """
     if not c:
         raise ValueError("cannot factor the zero polynomial")
-    return _factorize_composed_cached(c.mask, p.mask)
+    counts: dict[Poly, int] = {}
+    for q, e in factorize(c):
+        for r, f in factorize(Poly(_compose_mask(q.mask, p.mask))):
+            counts[r] = counts.get(r, 0) + e * f
+    return Factorization(factors=tuple(sorted(counts.items())))
 
 
 def omega(p: Poly) -> int:

@@ -261,8 +261,6 @@ class Poly:
         if not isinstance(n, int) or n < 0:
             raise ValueError("exponent must be a nonnegative integer")
         base = self._mask
-        if base and not base & (base - 1):  # (x^k)^n = x^(k*n)
-            return Poly(1 << (base.bit_length() - 1) * n)
         result = 1
         while n:
             if n & 1:

@@ -254,6 +254,7 @@ class ClassificationReport:
     def flagged(self) -> tuple[HitClass, ...]:
         return tuple(c for c in self.classes if c.outside_scope)
 
+    @property
     def nontrivial(self) -> tuple[HitClass, ...]:
         return tuple(c for c in self.classes if not c.trivial)
 

@@ -18,6 +18,7 @@ import json
 import os
 import random
 from dataclasses import dataclass
+from functools import lru_cache
 
 from . import _intmath
 from ._intmath import euler_phi
@@ -63,10 +64,12 @@ def _m_params(m: MersennePrime, **extra):
     return {"M": str(m.poly), "a": m.a, "b": m.b, **extra}
 
 
+@lru_cache(maxsize=8192)
 def _sigma_power(m: MersennePrime, n: int):
-    # sigma(M^n) and its factorization.  sigma(M^n) = c_n(M) with
-    # c_n = 1 + z + ... + z^n, factored one irreducible piece q(M) of c_n
-    # at a time; every layer caches by mask
+    # sigma(M^n) and its factorization, computed once per (M, n) for every
+    # check that reads them.  sigma(M^n) = c_n(M) with c_n = 1 + z + ... + z^n,
+    # factored one irreducible piece q(M) of c_n at a time; a piece that
+    # recurs across n is answered from factorize's cache
     s = sigma(m.poly**n)
     return s, factorize_composed((X ** (n + 1) + ONE) // XP1, m.poly)
 
@@ -162,7 +165,7 @@ def check_p_reduction(m: MersennePrime, h: int, k: int) -> TheoremReport:
     if (2 * h + 1) % k:
         raise ValueError("k must divide 2h+1")
     s, _ = _sigma_power(m, 2 * h)
-    small = sigma(m.poly ** (k - 1)) if k > 1 else ONE
+    small = _sigma_power(m, k - 1)[0]
     params = _m_params(m, h=h, k=k)
     return TheoremReport("lemma3.4", params, "pass" if small.divides(s) else "fail")
 
@@ -375,9 +378,11 @@ def _run_group(tasks):
 def _task_groups(max_mersenne_degree: int, max_h: int, degree_budget: int):
     # groups (weight, tasks): the checks that factor one sigma(M^2h) share a
     # group, weighted by its degree 2h*deg(M), so one worker factors it once;
-    # each one-off checker is a group of weight 0
+    # each one-off checker is a group of weight 0.  Every instance has degree
+    # at least 2*deg(M), so primes past half the budget have none
     groups = [(0, [("lemma3.7", ())]), (0, [("lemma3.20", ())]), (0, [("lemma3.9", ())])]
-    for m in enumerate_mersenne_primes(max_mersenne_degree):
+    max_degree = min(max_mersenne_degree, degree_budget // 2)
+    for m in enumerate_mersenne_primes(max_degree) if max_degree >= 2 else ():
         by_h = {1: [("cor3.28", (m,))]}
         for p in DESK_MERSENNE_NUMBERS:
             if (p - 1) * m.degree <= degree_budget:

@@ -96,7 +96,7 @@ def test_criterion_04_classification_reproduction():
 
     uhits = search_structured(SearchConfig(max_degree=30, mode="unitary"))
     report = classify_hits(uhits, "unitary")
-    nontrivial = report.nontrivial()
+    nontrivial = report.nontrivial
     expected_reps = {canonical_class_rep(b) for b in CAT.unitary_perfects}
     if {c.rep for c in nontrivial} != expected_reps:
         problems.append("unitary class representatives differ from the nine classes")

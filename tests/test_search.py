@@ -193,6 +193,6 @@ def test_classify_flags_non_mersenne():
 def test_classify_perfect_hits_are_singletons():
     hits = search_structured(SearchConfig(max_degree=16, mode="perfect"))
     report = classify_hits(hits, "perfect")
-    nontrivial = report.nontrivial()
+    nontrivial = report.nontrivial
     assert all(len(c.members) == 1 for c in nontrivial)
     assert sum(c.in_catalog for c in nontrivial) == 7  # T1..T7 fit in degree 16

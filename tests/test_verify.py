@@ -1,10 +1,12 @@
 import concurrent.futures
 import json
+from collections import Counter
 
 import pytest
 
 from gf2perfect import verify
 from gf2perfect.divisors import sigma
+from gf2perfect.factor import _factorize_cached
 from gf2perfect.gf2poly import parse
 from gf2perfect.mersenne import MersennePrime, catalog, enumerate_mersenne_primes
 from gf2perfect.verify import (
@@ -183,14 +185,48 @@ def test_run_all_jobs_match_serial():
 
 def test_run_all_sharded_by_sigma_power_match_serial():
     # cold caches, so the workers factor every sigma(M^2h) themselves
-    from gf2perfect.divisors import _sigma_cached
-    from gf2perfect.factor import _factorize_cached, _factorize_composed_cached
-
     _factorize_cached.cache_clear()
-    _factorize_composed_cached.cache_clear()
-    _sigma_cached.cache_clear()
+    verify._sigma_power.cache_clear()
     parallel = run_all(6, 12, jobs=2)
     assert [r.to_json() for r in parallel] == [r.to_json() for r in run_all(6, 12)]
+
+
+def test_run_all_splits_each_sigma_power_once(monkeypatch):
+    # every check on sigma(M^n) reads the one split of its (M, n) instance
+    calls = Counter()
+    split = verify.factorize_composed
+
+    def counting(c, p):
+        calls[c.mask, p.mask] += 1
+        return split(c, p)
+
+    monkeypatch.setattr(verify, "factorize_composed", counting)
+    _factorize_cached.cache_clear()
+    verify._sigma_power.cache_clear()
+    run_all(6, 12)
+    assert calls and set(calls.values()) == {1}
+
+
+def test_run_all_degree_budget_bounds_mersenne_enumeration(monkeypatch):
+    # an instance on M has degree at least 2*deg(M), so the budget caps the
+    # enumeration itself; below degree 2 only the one-off checkers run, and
+    # lemma3.7 enumerates its own fixed range
+    asked = []
+    enumerate_primes = verify.enumerate_mersenne_primes
+
+    def spy(max_degree):
+        asked.append(max_degree)
+        return enumerate_primes(max_degree)
+
+    monkeypatch.setattr(verify, "enumerate_mersenne_primes", spy)
+    reports = run_all(10**5, 1, degree_budget=1)
+    assert [r.claim_id for r in reports] == ["lemma3.20", "lemma3.7", "lemma3.9"]
+    assert asked == [verify._COUNTING_MAX_M]
+    asked.clear()
+    reports = run_all(10**5, 3, degree_budget=4)
+    assert [r.params["M"] for r in reports if r.claim_id == "cor3.28"] == ["x^2+x+1"]
+    assert sorted(asked) == [2, verify._COUNTING_MAX_M]
+    assert all(r.params.get("M", "x^2+x+1") == "x^2+x+1" for r in reports)
 
 
 def test_run_all_clamps_workers(monkeypatch):
