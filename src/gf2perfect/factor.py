@@ -3,11 +3,11 @@
 Factorization runs squarefree splitting (derivative/gcd plus square-root
 extraction, which in characteristic 2 replaces Yun's algorithm), then
 distinct-degree splitting, then equal-degree splitting with the
-characteristic-2 trace map.  The equal-degree stage draws random split
-candidates from a generator seeded by the input alone.  The draws only
-decide how quickly a split is found: the factorization over GF(2) is
-unique and returned sorted, so the result depends on the input only.
-is_irreducible is the distinct-degree loop stopped at its first factor.
+characteristic-2 trace map.  The equal-degree stage tries the fixed
+candidates x^k, k = deg f, deg f + 1, ..., and makes no random draws; the
+factorization over GF(2) is unique and returned sorted, so the result
+depends on the input only.  is_irreducible is the distinct-degree loop
+stopped at its first factor.
 
 The distinct-degree loop and the trace map work on coefficient masks:
 they square with the Frobenius spread and reduce with a per-modulus byte
@@ -27,12 +27,11 @@ from factorize's cache, the only cache in this module.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from functools import lru_cache
 
 from . import _intmath
-from .gf2poly import ONE, X, BudgetError, Poly, _divmod_mask, _gcd_mask, _mul_mask, _reducer, _sqr_mask, gcd
+from .gf2poly import ONE, X, BudgetError, Poly, _divmod_mask, _gcd_mask, _mod_mask, _mul_mask, _reducer, _sqr_mask, gcd
 
 #: is_primitive refuses degrees whose group order 2^r - 1 exceeds this.
 PRIMITIVITY_DEGREE_CAP = 64
@@ -100,31 +99,39 @@ def is_irreducible(p: Poly) -> bool:
     return next(_distinct_degree_parts(p))[0] == p.degree
 
 
-def _trace_mod(r: Poly, d: int, f: Poly) -> Poly:
-    # r + r^2 + r^4 + ... + r^(2^(d-1)) mod f
-    reduce, key = _reducer(f.mask)
-    acc = cur = r.mask
-    for _ in range(d - 1):
-        cur = reduce(_sqr_mask(cur), key)
-        acc ^= cur
-    return Poly(acc)
-
-
-def _equal_degree_split(f: Poly, d: int, rng):
-    # f is a product of distinct irreducibles of degree d; yields them
-    if f.degree == d:
+def _equal_degree_split(f, d, r):
+    # f is the mask of a product of distinct irreducibles of degree d and
+    # r = x^k mod f; yields the factors' masks.  Each try takes the trace
+    # t = r + r^2 + ... + r^(2^(d-1)) mod f, which is Tr(x^k) in {0, 1}
+    # modulo every factor g, and splits f by gcd(f, t), then steps to k + 1.
+    # Write s_g(k) for that bit.  For distinct factors g and h, s_g + s_h
+    # is the sum of rho^k over the 2d distinct nonzero roots rho of gh, a
+    # linear recurring sequence whose minimal polynomial is gh, of degree
+    # 2d, so it cannot vanish on 2d consecutive k.  Every k tried at an
+    # ancestor gave one bit on all factors of the current part, so the
+    # window that starts at the top-level k covers every pair, and a path
+    # from the root to a leaf tries at most 2d candidates.  For d = 1,
+    # x and x + 1 give 0 and 1 at every k >= 1 and split at the first try.
+    n = f.bit_length() - 1
+    if n == d:
         yield f
         return
-    bits = int(f.degree)
+    reduce, key = _reducer(f)
+    top = 1 << n
     while True:
-        r = Poly(rng.getrandbits(bits))
-        if not r:
-            continue
-        u = gcd(_trace_mod(r % f, d, f), f)
-        if 0 < u.degree < f.degree:
+        t = cur = r
+        for _ in range(d - 1):
+            cur = reduce(_sqr_mask(cur), key)
+            t ^= cur
+        u = _gcd_mask(f, t)
+        r <<= 1
+        if r & top:
+            r ^= f
+        if 1 < u < f:
             break
-    yield from _equal_degree_split(u, d, rng)
-    yield from _equal_degree_split(f // u, d, rng)
+    v = _divmod_mask(f, u)[0]
+    yield from _equal_degree_split(u, d, _mod_mask(r, u))
+    yield from _equal_degree_split(v, d, _mod_mask(r, v))
 
 
 def _distinct_degree_parts(f: Poly):
@@ -147,19 +154,10 @@ def _distinct_degree_parts(f: Poly):
         yield fm.bit_length() - 1, Poly(fm)
 
 
-def _rng_for(p: Poly):
-    # a function of p alone, so independent of call order and safe in worker
-    # processes; any offset yields the same factors, this one fixes how many
-    # draws the splits take
-    return random.Random((2 * 0x9E3779B97F4A7C15 + p.mask % ((1 << 61) - 1)) & (1 << 64) - 1)
-
-
 @lru_cache(maxsize=8192)
 def _factorize_cached(mask: int) -> Factorization:
-    p = Poly(mask)
-    counts: dict[Poly, int] = {}
-    rng = _rng_for(p)
-    f = p
+    counts: dict[int, int] = {}
+    f = Poly(mask)
     scale = 1
     while f.degree > 0:
         df = f.derivative()
@@ -171,12 +169,12 @@ def _factorize_cached(mask: int) -> Factorization:
         # the cofactor f // w is then a perfect square
         w = f // gcd(f, df)
         for d, g in _distinct_degree_parts(w):
-            for prime in _equal_degree_split(g, d, rng):
+            # the first candidate is x^deg(g) mod g
+            for prime in _equal_degree_split(g.mask, d, g.mask ^ 1 << g.degree):
                 counts[prime] = counts.get(prime, 0) + scale
         f = (f // w).sqrt()
         scale *= 2
-    ordered = tuple(sorted(counts.items()))
-    return Factorization(factors=ordered)
+    return Factorization(factors=tuple((Poly(m), e) for m, e in sorted(counts.items())))
 
 
 def factorize(p: Poly) -> Factorization:

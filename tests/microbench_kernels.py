@@ -12,7 +12,7 @@ import random
 
 import pytest
 
-from gf2perfect.factor import is_irreducible
+from gf2perfect.factor import _factorize_cached, is_irreducible
 from gf2perfect.gf2poly import (
     _MUL_WINDOW_CUTOVER,
     Poly,
@@ -84,3 +84,12 @@ def test_is_irreducible(benchmark, degree, taps):
     # loop runs to degree/2 (no irreducible trinomial has degree 8k)
     p = Poly(1 << degree | sum(1 << t for t in taps) | 1)
     assert benchmark(is_irreducible, p)
+
+
+def test_factorize_x1024_plus_x(benchmark):
+    # x^1024 + x is the product of every irreducible whose degree divides 10;
+    # the degree-10 part (99 primes) runs the equal-degree split.  The
+    # uncached function, so every round does the work
+    fact = benchmark(_factorize_cached.__wrapped__, 1 << 1024 | 2)
+    degrees = [int(p.degree) for p, m in fact if m == 1]
+    assert len(degrees) == len(fact) == 108 and degrees.count(10) == 99 and sum(degrees) == 1024

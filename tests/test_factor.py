@@ -13,7 +13,7 @@ from gf2perfect.factor import (
     order_of_x,
     pow_mod,
 )
-from gf2perfect.gf2poly import ONE, X, XP1, BudgetError, Poly, _reducer, parse
+from gf2perfect.gf2poly import ONE, X, XP1, BudgetError, Poly, _gcd_mask, _mul_mask, _reducer, parse
 from gf2perfect.divisors import sigma
 
 
@@ -147,6 +147,63 @@ def test_distinct_degree_split_rebuilds_its_table_as_f_shrinks(monkeypatch):
     assert list(factor._distinct_degree_parts(product)) == [(3, p3), (40, p40), (70, p70)]
     assert moduli == [product.mask, (p40 * p70).mask, p70.mask]  # one table per modulus
     assert factorize(product).factors == ((p3, 1), (p40, 1), (p70, 1))
+
+
+def irreducible_masks(d):
+    return [mask for mask in range(1 << d, 2 << d) if trial_division_irreducible(Poly(mask))]
+
+
+def test_equal_degree_split_pair_bound(monkeypatch):
+    from gf2perfect import factor
+
+    # two distinct irreducibles of degree d have trace bits that differ
+    # within 2d consecutive k, so a pair takes at most 2d candidates
+    calls = []
+
+    def counting_gcd(a, b):
+        calls.append((a, b))
+        return _gcd_mask(a, b)
+
+    monkeypatch.setattr(factor, "_gcd_mask", counting_gcd)
+    for d in range(1, 9):
+        primes = irreducible_masks(d)
+        for i, g in enumerate(primes):
+            for h in primes[:i]:  # d = 1 gives the pair x, x+1
+                f = _mul_mask(g, h)
+                calls.clear()
+                assert sorted(factor._equal_degree_split(f, d, f ^ 1 << 2 * d)) == [h, g]
+                assert len(calls) <= 2 * d, (d, g, h, len(calls))
+
+
+def test_equal_degree_split_all_of_one_degree():
+    from gf2perfect import factor
+
+    for d in range(1, 9):
+        primes = irreducible_masks(d)
+        f = 1
+        for g in primes:
+            f = _mul_mask(f, g)
+        top = f.bit_length() - 1
+        assert top == d * len(primes)
+        assert sorted(factor._equal_degree_split(f, d, f ^ 1 << top)) == primes, d
+
+
+def test_factoring_makes_no_random_draws(monkeypatch):
+    from gf2perfect.factor import _factorize_cached
+    from gf2perfect.verify import check_primitivity
+
+    inputs = [X**1024 + X, sigma(parse("x^2+x+1") ** 60)]
+    _factorize_cached.cache_clear()
+    expected = [factorize(p) for p in inputs], check_primitivity()
+
+    def no_draws(*args, **kwargs):
+        raise AssertionError("random draw")
+
+    monkeypatch.setattr(random, "Random", no_draws)
+    monkeypatch.setattr(random, "getrandbits", no_draws)
+    _factorize_cached.cache_clear()
+    assert ([factorize(p) for p in inputs], check_primitivity()) == expected
+    assert expected[1].verdict == "pass"
 
 
 def test_factorize_high_multiplicities():

@@ -198,7 +198,7 @@ def pow_reference(p, n):
     return result
 
 
-def test_pow_monomial_fast_path():
+def test_pow_of_monomials():
     for k in range(71):
         xk = Poly.monomial(k)
         for n in range(301):
