@@ -6,27 +6,31 @@ once and packed into one integer exponent vector over x, x+1 and the
 Mersenne primes in range; a part whose divisor sum has any other prime
 is dropped (that prime would divide the whole polynomial, so nothing is
 lost).  The enumeration then only adds and compares integers.  The
-brute-force search makes no assumption about which primes appear: one
-linear-sieve pass over all coefficient masks gives each mask's divisor
-sum from a smaller mask's, with its products written inline rather than
-through _mul_mask, and it tests sigma(A) = A literally.  It is
-the oracle the structured route is checked against up to
-BRUTEFORCE_MAX_DEGREE, the degree of T8 and T9.  Both return the sorted
-hits; classify_hits groups and flags them.
+brute-force search makes no assumption about which primes appear: it
+builds every mask's divisor sum by multiplicativity, prime by prime in a
+fixed order, so each mask is produced exactly once, and it tests
+sigma(A) = A literally.  Its products run on whole arrays at a time,
+32-bit lanes packed into one int and multiplied by a fixed polynomial
+with shifts and XORs; no product reaches degree 32, so no lane carries
+into the next.  It is the oracle the structured route is checked
+against up to BRUTEFORCE_MAX_DEGREE, the degree of T8 and T9.  Both
+return the sorted hits; classify_hits groups and flags them.
 """
 
 from __future__ import annotations
 
+import sys
 from array import array
+from collections import deque
 from dataclasses import dataclass
-from itertools import compress
-from operator import eq, not_
+from itertools import compress, repeat
+from operator import eq, not_, setitem, xor
 
 from .divisors import canonical_class_rep, is_indecomposable
 from .factor import factorize, factorize_composed
 # bench/trace_launch.py wraps search._mul_mask and search._divmod_mask by
 # name, so both stay imported here although search calls neither.
-from .gf2poly import ONE, X, XP1, BudgetError, Poly, _byte_multiples, _divmod_mask, _mul_mask
+from .gf2poly import ONE, X, XP1, BudgetError, Poly, _divmod_mask, _mul_mask
 from .mersenne import catalog, enumerate_mersenne_primes, mersenne_form
 
 #: Hard guard for the exhaustive family=all search (2^(D+1) sigma values).
@@ -141,87 +145,95 @@ def search_structured(cfg: SearchConfig) -> list[Poly]:
     return hits
 
 
-def _divisor_sum_tables(max_degree: int, unitary: bool):
-    """sigma (or sigma*) of every mask of degree <= max_degree, by linear sieve.
+def _lane_product(lanes: int, c: int) -> int:
+    """Each lane of the packed vector lanes times the polynomial mask c.
 
-    Masks are visited in increasing order, in bands of one degree; an
-    unmarked mask is prime.  Each composite v is written exactly once, as
-    p * q with p = spf[v] its least prime and q already final (Gries &
-    Misra's linear sieve).  rest[q] is q with every factor p = spf[q]
-    divided out, so q = p^k r, v = p^(k+1) r, and the divisor sum of v
-    follows from q's and r's by multiplicativity.  No product goes
-    through _mul_mask: p = x and p = x+1, the least prime of most
-    composites, multiply as q << 1 and q ^ q << 1, and every other least
-    prime (degree 2 .. max_degree / 2) multiplies through its own table
-    of byte multiples, three lookups for an operand below 2^24.  Within a
-    band the room left, and so the list of usable primes, is fixed.
-    Every entry is a mask below 2^(max_degree + 1).
+    One shift-XOR per set bit of c.  No lane carries into the next as
+    long as every product fits in its lane, which the caller ensures.
     """
-    if not 1 <= max_degree <= 25:  # q and its divisor sum, of degree <= max_degree - 2, must fit in three bytes
+    out = 0
+    for i in range(c.bit_length()):
+        if c >> i & 1:
+            out ^= lanes << i
+    return out
+
+
+def _divisor_sum_tables(max_degree: int, unitary: bool):
+    """sigma (or sigma*) of every mask of degree <= max_degree, on packed lanes.
+
+    The odd masks are built by degree into buckets: masks[k] and sums[k]
+    hold masks of degree k and their divisor sums, and bucket 0 holds 1.
+    For d = 1 .. max_degree in turn, bucket d is written into the table;
+    the odd masks of degree d whose entry is still 0 are then exactly the
+    primes of degree d, and each gets p + 1.  A prime p with 2d <= max_degree
+    is taken on its own, in mask order: for e = 1, 2, ... every entry m
+    already in a bucket, which p does not divide, gives p^e m with divisor
+    sum sigma(p^e) sigma(m) (sigma*: (p^e + 1) sigma*(m)).  A prime with
+    2d > max_degree divides a mask at most once, beside a cofactor of
+    degree < d, so all primes of degree d are multiplied by each cofactor
+    at once.  Last, x^j m for odd m gets sigma(x^j) sigma(m) by strided
+    slices of the table.
+
+    Every product is taken on a whole array at a time: the array's 32-bit
+    lanes are packed into one int, multiplied by a fixed polynomial with
+    one shift-XOR per set bit (_lane_product), and unpacked.  Exact, for
+    two reasons.  Factorization is unique, the primes are taken in a fixed
+    order, and each new entry is p^e times an entry p does not divide, so
+    every odd mask above 1 is produced exactly once, before its bucket is
+    written (its primes have lower degree).  And every product, mask or
+    divisor sum, has degree <= max_degree <= 25 < 32, so no lane carries
+    into the next.  Every entry is a mask below 2^(max_degree + 1).
+    """
+    if not 1 <= max_degree <= 25:  # every product must fit in its 32-bit lane with room to spare
         raise ValueError(f"divisor-sum tables are built for degree 1 to 25, got {max_degree}")
-    limit = 1 << (max_degree + 1)
-    spf = array("I", bytes(4 * limit))
-    rest = array("I", bytes(4 * limit))
-    table = array("I", bytes(4 * limit))
+    order = sys.byteorder  # array("I") holds its lanes in native byte order
+
+    def pack(vector: array) -> int:
+        return int.from_bytes(vector, order)
+
+    def product(lanes: int, nbytes: int, c: int) -> bytes:
+        return _lane_product(lanes, c).to_bytes(nbytes, order)
+
+    def scatter(keys: array, values: array):  # table[k] = v for each pair, with no Python-level loop
+        deque(map(setitem, repeat(table), keys, values), maxlen=0)
+
+    table = array("I", bytes(4 << max_degree + 1))
     table[1] = 1
-    others = []  # (p, byte multiples of p) for each prime p of degree 2 .. max_degree / 2
-    for d in range(1, max_degree):
-        room = max_degree - d  # a least prime p may have degree <= room
-        # a prime of this band is appended to others iff d <= room, and then p = q is usable
-        usable = others if d <= room else [(p, m) for p, m in others if p.bit_length() - 1 <= room]
-        for q in range(1 << d, 2 << d):
-            sq = spf[q]
-            if not sq:
-                sq = spf[q] = q
-                rest[q] = 1
-                table[q] = q ^ 1
-                if 2 <= d <= room:
-                    others.append((q, array("I", _byte_multiples(q))))
-            s = table[q]
-            v = q << 1  # p = x, sigma(x) = sigma*(x) = x + 1
-            spf[v] = 2
-            if sq == 2:
-                r = rest[v] = rest[q]
-                t = table[r]
-                table[v] = s << 1 ^ (t ^ t << 1 if unitary else t)
-                continue
-            rest[v] = q
-            table[v] = s ^ s << 1
-            v ^= q  # p = x + 1, sigma(x + 1) = sigma*(x + 1) = x
-            spf[v] = 3
-            if sq == 3:
-                r = rest[v] = rest[q]
-                t = table[r]
-                table[v] = s ^ s << 1 ^ (t << 1 if unitary else t)
-                continue
-            rest[v] = q
-            table[v] = s << 1
-            if not usable:
-                continue
-            # sq is a prime of degree >= 2, so usable's first prime x^2 + x + 1 is <= sq
-            q0, q1, q2 = q & 255, q >> 8 & 255, q >> 16
-            s0, s1, s2 = s & 255, s >> 8 & 255, s >> 16
-            for p, m in usable:
-                if p > sq:
-                    break
-                v = m[q0] ^ m[q1] << 8 ^ m[q2] << 16
-                ps = m[s0] ^ m[s1] << 8 ^ m[s2] << 16
-                spf[v] = p
-                if p < sq:  # p does not divide q: (p + 1) * s
-                    rest[v] = q
-                    table[v] = ps ^ s
-                    continue
-                r = rest[v] = rest[q]
-                t = table[r]
-                if unitary:  # sigma*(p^(k+1)) = p * sigma*(p^k) + p + 1
-                    table[v] = ps ^ m[t & 255] ^ m[t >> 8 & 255] << 8 ^ m[t >> 16] << 16 ^ t
-                else:  # sigma(p^(k+1)) = p * sigma(p^k) + 1
-                    table[v] = ps ^ t
-    top = 1 << max_degree  # the top band writes no product: only its primes, the masks left unmarked
-    for q in compress(range(top, limit), map(not_, memoryview(spf)[top:])):
-        spf[q] = q
-        rest[q] = 1
-        table[q] = q ^ 1
+    masks = [array("I", [1])] + [array("I") for _ in range(max_degree)]
+    sums = [array("I", [1])] + [array("I") for _ in range(max_degree)]
+    for d in range(1, max_degree + 1):
+        room = max_degree - d
+        # bucket d holds every composite of degree d: its primes have lower degree
+        scatter(masks[d], sums[d])
+        if d > room:  # no mask of degree d is a cofactor still to come
+            masks[d] = sums[d] = None
+        low = 1 << d
+        primes = array("I", compress(range(low + 1, 2 * low, 2), map(not_, table[low + 1 : 2 * low : 2])))
+        succ = array("I", map(xor, primes, repeat(1)))  # sigma(p) = sigma*(p) = p + 1
+        scatter(primes, succ)
+        if d <= room:
+            for p in primes:
+                # what the buckets hold so far is exactly what p does not divide
+                rows = [(pack(masks[k]), pack(sums[k]), 4 * len(masks[k])) for k in range(room + 1)]
+                pe = spe = 1
+                for e in range(1, max_degree // d + 1):
+                    pe = _lane_product(pe, p)
+                    spe = pe ^ 1 if unitary else spe ^ pe  # sigma(p^e) = sigma(p^(e-1)) + p^e
+                    for k, (m, s, nbytes) in enumerate(rows[: max_degree - e * d + 1], e * d):
+                        masks[k].frombytes(product(m, nbytes, pe))
+                        sums[k].frombytes(product(s, nbytes, spe))
+        else:  # a cofactor of degree <= room < d has no prime of degree >= d
+            nbytes = 4 * len(primes)
+            packed, packed_succ = pack(primes), pack(succ)
+            for k in range(1, room + 1):
+                for m, s in zip(masks[k], sums[k]):
+                    masks[d + k].frombytes(product(packed, nbytes, m))
+                    sums[d + k].frombytes(product(packed_succ, nbytes, s))
+    for j in range(1, max_degree + 1):
+        # sigma(x^j m) = sigma(x^j) sigma(m) for each odd m of degree <= max_degree - j
+        odd = table[1 : 2 << max_degree - j : 2]
+        c = 1 | 1 << j if unitary else (2 << j) - 1
+        table[1 << j :: 2 << j] = array("I", product(pack(odd), 4 * len(odd), c))
     return table
 
 

@@ -39,6 +39,14 @@ def test_divisor_sum_tables_16(benchmark, unitary):
     assert table[0b111] == 0b110  # sigma(x^2+x+1) = sigma*(x^2+x+1) = x^2+x
 
 
+@pytest.mark.parametrize("unitary", [False, True], ids=["sigma", "sigma_star"])
+def test_divisor_sum_tables_20(benchmark, unitary):
+    # the oracle's guard, BRUTEFORCE_MAX_DEGREE
+    table = benchmark(_divisor_sum_tables, 20, unitary)
+    # sigma(x^20) = 1 + x + ... + x^20, sigma*(x^20) = x^20 + 1
+    assert table[1 << 20] == (1 << 20 | 1 if unitary else (1 << 21) - 1)
+
+
 @pytest.mark.parametrize("degree", DEGREES)
 def test_sqr_mask(benchmark, degree):
     a = random_mask(degree, degree)

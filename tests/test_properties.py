@@ -1,11 +1,13 @@
 """Property checks with hypothesis: ring laws, multiplicativity of the
-divisor sums, their invariance under x -> x+1, and the piecewise
-factorization of c(p).
+divisor sums, their invariance under x -> x+1, the piecewise
+factorization of c(p), and the brute-force oracle's divisor-sum table.
 
 Every property runs a fixed, derandomized set of examples with no example
 database, so the suite stays deterministic; degrees are bounded to keep it
 fast.
 """
+
+from functools import cache
 
 import pytest
 
@@ -16,6 +18,7 @@ from hypothesis import strategies as st  # noqa: E402
 from gf2perfect.divisors import sigma, sigma_star  # noqa: E402
 from gf2perfect.factor import factorize, factorize_composed  # noqa: E402
 from gf2perfect.gf2poly import ONE, ZERO, Poly, gcd  # noqa: E402
+from gf2perfect.search import _divisor_sum_tables  # noqa: E402
 
 deterministic = settings(derandomize=True, database=None, deadline=None, max_examples=200)
 
@@ -65,3 +68,15 @@ def test_factorize_composed_is_factorize_of_the_substitution(c, p):
     for i in range(int(c.degree), -1, -1):  # Horner's rule through Poly's ring operations
         whole = whole * p + Poly(c.coeff(i))
     assert factorize_composed(c, p) == factorize(whole)
+
+
+@cache
+def table_16(unitary):
+    return _divisor_sum_tables(16, unitary)
+
+
+@deterministic
+@given(st.integers(min_value=1, max_value=(1 << 17) - 1))
+def test_divisor_sum_table_matches_sigma(mask):
+    assert table_16(False)[mask] == sigma(Poly(mask)).mask
+    assert table_16(True)[mask] == sigma_star(Poly(mask)).mask

@@ -1,4 +1,5 @@
 from functools import cache
+from itertools import islice
 
 import pytest
 
@@ -65,6 +66,45 @@ def test_divisor_sum_table_entries():
                     m = p**k * r
                     if m.degree <= 16:
                         assert table[m.mask] == divisor_sum(m).mask, (p, k, r)
+
+
+DIVISOR_SUMS = ((False, sigma), (True, sigma_star))
+
+
+def primes_of_degree(d):
+    return (Poly(m) for m in range(1 << d | 1, 2 << d, 2) if is_irreducible(Poly(m)))
+
+
+@pytest.mark.parametrize("unitary, divisor_sum", DIVISOR_SUMS, ids=["sigma", "sigma_star"])
+def test_divisor_sum_table_every_entry_small(unitary, divisor_sum):
+    # odd and even sizes, both sides of the 2d <= max_degree split at each
+    for degree in range(1, 12):
+        table = _divisor_sum_tables(degree, unitary)
+        assert len(table) == 2 << degree
+        assert all(table[m] == divisor_sum(Poly(m)).mask for m in range(1, 2 << degree)), degree
+
+
+@pytest.mark.parametrize("degree", [16, 17])
+@pytest.mark.parametrize("unitary, divisor_sum", DIVISOR_SUMS, ids=["sigma", "sigma_star"])
+def test_divisor_sum_table_across_the_half_degree(degree, unitary, divisor_sum):
+    table = _divisor_sum_tables(degree, unitary)
+    # products of two primes of degree degree // 2, the highest degree taken one prime at a time
+    half = list(primes_of_degree(degree // 2))
+    for i, p in enumerate(half):
+        for q in half[i:]:
+            m = p * q
+            assert table[m.mask] == divisor_sum(m).mask, (p, q)
+    # a prime of degree d > degree / 2 beside every odd cofactor that fits
+    for d in range(degree // 2 + 1, degree + 1):
+        for p in islice(primes_of_degree(d), 3):
+            for c in range(1, 2 << degree - d, 2):
+                m = p * Poly(c)
+                assert table[m.mask] == divisor_sum(m).mask, (p, c)
+
+
+@pytest.mark.parametrize("unitary", [False, True], ids=["sigma", "sigma_star"])
+def test_divisor_sum_table_prefix_consistent(unitary):
+    assert _divisor_sum_tables(16, unitary) == _divisor_sum_tables(18, unitary)[: 1 << 17]
 
 
 @cache
