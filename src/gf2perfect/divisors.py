@@ -9,8 +9,8 @@ literally enumerate divisors are provided for cross-checking.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import product
+from typing import NamedTuple
 
 from .factor import Factorization, factorize, is_irreducible
 from .gf2poly import ONE, X, BudgetError, Poly, gcd
@@ -25,8 +25,7 @@ MODE_SIGMA = "sigma"
 MODE_SIGMA_STAR = "sigma_star"
 
 
-@dataclass(frozen=True)
-class PerfectionReport:
+class PerfectionReport(NamedTuple):
     """Verdict of the sigma(A) = A (or sigma*(A) = A) test.
 
     When the verdict is false, witness holds (prime, m1, m2) with

@@ -27,7 +27,6 @@ from factorize's cache, the only cache in this module.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 from . import _intmath
@@ -37,15 +36,34 @@ from .gf2poly import ONE, X, BudgetError, Poly, _divmod_mask, _gcd_mask, _mod_ma
 PRIMITIVITY_DEGREE_CAP = 64
 
 
-@dataclass(frozen=True)
 class Factorization:
     """Complete factorization: distinct irreducibles with multiplicities.
 
     Factors are sorted by (degree, coefficient mask), which for the mask
-    representation is plain mask order.
+    representation is plain mask order.  Immutable, like Poly.
     """
 
-    factors: tuple[tuple[Poly, int], ...]
+    __slots__ = ("factors",)
+
+    def __init__(self, factors: tuple[tuple[Poly, int], ...]):
+        object.__setattr__(self, "factors", factors)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("Factorization is immutable")
+
+    def __eq__(self, other):
+        if not isinstance(other, Factorization):
+            return NotImplemented
+        return self.factors == other.factors
+
+    def __hash__(self):
+        return hash(self.factors)
+
+    def __reduce__(self):
+        return (Factorization, (self.factors,))
+
+    def __repr__(self):
+        return f"Factorization(factors={self.factors!r})"
 
     def __iter__(self):
         return iter(self.factors)

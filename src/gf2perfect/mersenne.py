@@ -10,9 +10,9 @@ definitions; a trailing 'b' in a name marks the x -> x+1 conjugate.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cache
 from math import gcd
+from typing import NamedTuple
 
 from . import _intmath
 from .factor import is_irreducible
@@ -32,8 +32,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class MersennePrime:
+class MersennePrime(NamedTuple):
     """An irreducible 1 + x^a (x+1)^b together with its (a, b) witness."""
 
     a: int

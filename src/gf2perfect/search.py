@@ -9,10 +9,11 @@ lost).  The enumeration then only adds and compares integers.  The
 brute-force search makes no assumption about which primes appear: it
 builds every mask's divisor sum by multiplicativity, prime by prime in a
 fixed order, so each mask is produced exactly once, and it tests
-sigma(A) = A literally.  Its products run on whole arrays at a time,
-32-bit lanes packed into one int and multiplied by a fixed polynomial
-with shifts and XORs; no product reaches degree 32, so no lane carries
-into the next.  It is the oracle the structured route is checked
+sigma(A) = A literally: the low byte of every table entry is compared
+with the mask's own at once, and each match is confirmed in full.  Its
+products run on whole arrays at a time, 32-bit lanes packed into one int
+and multiplied by a fixed polynomial with shifts and XORs; no product
+reaches degree 32, so no lane carries into the next.  It is the oracle the structured route is checked
 against up to BRUTEFORCE_MAX_DEGREE, the degree of T8 and T9.  Both
 return the sorted hits; classify_hits groups and flags them.
 """
@@ -22,12 +23,12 @@ from __future__ import annotations
 import sys
 from array import array
 from collections import deque
-from dataclasses import dataclass
-from itertools import compress, repeat
-from operator import eq, not_, setitem, xor
+from itertools import accumulate, compress, repeat
+from operator import not_, setitem, xor
+from typing import NamedTuple
 
 from .divisors import canonical_class_rep, is_indecomposable
-from .factor import factorize, factorize_composed
+from .factor import count_irreducibles, factorize, factorize_composed
 # bench/trace_launch.py wraps search._mul_mask and search._divmod_mask by
 # name, so both stay imported here although search calls neither.
 from .gf2poly import ONE, X, XP1, BudgetError, Poly, _divmod_mask, _mul_mask
@@ -39,16 +40,35 @@ BRUTEFORCE_MAX_DEGREE = 20
 MODES = ("perfect", "unitary")
 
 
-@dataclass(frozen=True)
 class SearchConfig:
-    max_degree: int
-    mode: str = "perfect"
+    """Degree bound and mode of one search, checked when built; immutable."""
 
-    def __post_init__(self):
-        if self.max_degree < 1:
+    __slots__ = ("max_degree", "mode")
+
+    def __init__(self, max_degree: int, mode: str = "perfect"):
+        if max_degree < 1:
             raise ValueError("max_degree must be positive")
-        if self.mode not in MODES:
+        if mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}")
+        object.__setattr__(self, "max_degree", max_degree)
+        object.__setattr__(self, "mode", mode)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("SearchConfig is immutable")
+
+    def __eq__(self, other):
+        if not isinstance(other, SearchConfig):
+            return NotImplemented
+        return (self.max_degree, self.mode) == (other.max_degree, other.mode)
+
+    def __hash__(self):
+        return hash((self.max_degree, self.mode))
+
+    def __reduce__(self):
+        return (SearchConfig, (self.max_degree, self.mode))
+
+    def __repr__(self):
+        return f"SearchConfig(max_degree={self.max_degree!r}, mode={self.mode!r})"
 
 
 def _part_sigma_table(cfg: SearchConfig):
@@ -168,11 +188,17 @@ def _divisor_sum_tables(max_degree: int, unitary: bool):
     primes of degree d, and each gets p + 1.  A prime p with 2d <= max_degree
     is taken on its own, in mask order: for e = 1, 2, ... every entry m
     already in a bucket, which p does not divide, gives p^e m with divisor
-    sum sigma(p^e) sigma(m) (sigma*: (p^e + 1) sigma*(m)).  A prime with
-    2d > max_degree divides a mask at most once, beside a cofactor of
-    degree < d, so all primes of degree d are multiplied by each cofactor
-    at once.  Last, x^j m for odd m gets sigma(x^j) sigma(m) by strided
-    slices of the table.
+    sum sigma(p^e) sigma(m) (sigma*: (p^e + 1) sigma*(m)); the buckets
+    0 .. max_degree - d are laid side by side, so each power of p costs two
+    products.  A prime with 2d > max_degree divides a mask at most once,
+    beside a cofactor of degree < d, so all primes of degree d are
+    multiplied by each cofactor at once.  A prime of degree max_degree
+    divides no other mask in range and is no factor of any product, so the
+    top degree needs no detection: every odd lane of that degree is first
+    written m + 1, as if prime, and its composites are then written over
+    it.  Last, x^j m for odd m gets sigma(x^j) sigma(m) by strided slices
+    of the table, each from the one before: sigma(x^j) = sigma(x^(j-1)) + x^j
+    and sigma*(x^j) = 1 + x^j.
 
     Every product is taken on a whole array at a time: the array's 32-bit
     lanes are packed into one int, multiplied by a fixed polynomial with
@@ -183,12 +209,18 @@ def _divisor_sum_tables(max_degree: int, unitary: bool):
     written (its primes have lower degree).  And every product, mask or
     divisor sum, has degree <= max_degree <= 25 < 32, so no lane carries
     into the next.  Every entry is a mask below 2^(max_degree + 1).
+
+    The first reason is also checked as the table is built: a product
+    taken twice would write the same values twice and leave the table
+    right, only slower, so bucket d must hold exactly the 2^(d-1) odd
+    masks of degree d less the N(d) primes among them (x, the one even
+    prime, counted back in at d = 1), or RuntimeError is raised.
     """
     if not 1 <= max_degree <= 25:  # every product must fit in its 32-bit lane with room to spare
         raise ValueError(f"divisor-sum tables are built for degree 1 to 25, got {max_degree}")
     order = sys.byteorder  # array("I") holds its lanes in native byte order
 
-    def pack(vector: array) -> int:
+    def pack(vector) -> int:
         return int.from_bytes(vector, order)
 
     def product(lanes: int, nbytes: int, c: int) -> bytes:
@@ -197,31 +229,44 @@ def _divisor_sum_tables(max_degree: int, unitary: bool):
     def scatter(keys: array, values: array):  # table[k] = v for each pair, with no Python-level loop
         deque(map(setitem, repeat(table), keys, values), maxlen=0)
 
-    table = array("I", bytes(4 << max_degree + 1))
+    table = array("I", [0]) * (2 << max_degree)
     table[1] = 1
     masks = [array("I", [1])] + [array("I") for _ in range(max_degree)]
     sums = [array("I", [1])] + [array("I") for _ in range(max_degree)]
     for d in range(1, max_degree + 1):
         room = max_degree - d
+        low = 1 << d
+        if len(masks[d]) != (low >> 1) - count_irreducibles(d) + (d == 1):
+            raise RuntimeError(f"divisor-sum table: bucket of degree {d} does not hold each composite once")
+        if not room:  # a prime of the top degree is no factor of any product: write m + 1 for all
+            table[low + 1 :: 2] = array("I", range(low, 2 * low, 2))
         # bucket d holds every composite of degree d: its primes have lower degree
         scatter(masks[d], sums[d])
         if d > room:  # no mask of degree d is a cofactor still to come
             masks[d] = sums[d] = None
-        low = 1 << d
+        if not room:  # the composites overwrote their lanes; the rest are the primes
+            break
         primes = array("I", compress(range(low + 1, 2 * low, 2), map(not_, table[low + 1 : 2 * low : 2])))
         succ = array("I", map(xor, primes, repeat(1)))  # sigma(p) = sigma*(p) = p + 1
         scatter(primes, succ)
         if d <= room:
             for p in primes:
-                # what the buckets hold so far is exactly what p does not divide
-                rows = [(pack(masks[k]), pack(sums[k]), 4 * len(masks[k])) for k in range(room + 1)]
+                # what the buckets hold so far is exactly what p does not divide;
+                # ends[k] is where bucket k ends in the side-by-side bytes
+                ends = list(accumulate(4 * len(masks[k]) for k in range(room + 1)))
+                row_masks = b"".join(masks[k].tobytes() for k in range(room + 1))
+                row_sums = b"".join(sums[k].tobytes() for k in range(room + 1))
                 pe = spe = 1
                 for e in range(1, max_degree // d + 1):
                     pe = _lane_product(pe, p)
                     spe = pe ^ 1 if unitary else spe ^ pe  # sigma(p^e) = sigma(p^(e-1)) + p^e
-                    for k, (m, s, nbytes) in enumerate(rows[: max_degree - e * d + 1], e * d):
-                        masks[k].frombytes(product(m, nbytes, pe))
-                        sums[k].frombytes(product(s, nbytes, spe))
+                    top = max_degree - e * d  # buckets 0 .. top times p^e stay in range
+                    nbytes = ends[top]
+                    out_masks = product(pack(row_masks[:nbytes]), nbytes, pe)
+                    out_sums = product(pack(row_sums[:nbytes]), nbytes, spe)
+                    for k, start, stop in zip(range(e * d, max_degree + 1), [0, *ends], ends[: top + 1]):
+                        masks[k].frombytes(out_masks[start:stop])
+                        sums[k].frombytes(out_sums[start:stop])
         else:  # a cofactor of degree <= room < d has no prime of degree >= d
             nbytes = 4 * len(primes)
             packed, packed_succ = pack(primes), pack(succ)
@@ -229,25 +274,42 @@ def _divisor_sum_tables(max_degree: int, unitary: bool):
                 for m, s in zip(masks[k], sums[k]):
                     masks[d + k].frombytes(product(packed, nbytes, m))
                     sums[d + k].frombytes(product(packed_succ, nbytes, s))
+    prev = b""  # slice j - 1's products sigma(x^(j-1)) m, for the perfect recurrence
     for j in range(1, max_degree + 1):
         # sigma(x^j m) = sigma(x^j) sigma(m) for each odd m of degree <= max_degree - j
-        odd = table[1 : 2 << max_degree - j : 2]
-        c = 1 | 1 << j if unitary else (2 << j) - 1
-        table[1 << j :: 2 << j] = array("I", product(pack(odd), 4 * len(odd), c))
+        nbytes = 4 << max_degree - j
+        lanes = pack(table[1 : 2 << max_degree - j : 2])
+        # sigma*(x^j) = 1 + x^j, and sigma(x^j) = sigma(x^(j-1)) + x^j
+        base = lanes if unitary or j == 1 else pack(prev[:nbytes])
+        prev = (base ^ lanes << j).to_bytes(nbytes, order)
+        table[1 << j :: 2 << j] = array("I", prev)
     return table
 
 
 def search_bruteforce(cfg: SearchConfig) -> list[Poly]:
-    """Exhaustive scan of every polynomial of degree <= max_degree."""
+    """Exhaustive scan of every polynomial of degree <= max_degree.
+
+    A fixed point table[m] = m agrees with m in its low byte, so the scan
+    XORs the table's low-byte plane with the bytes m mod 256 and confirms
+    each zero byte, about one lane in 256, with the full comparison.
+    """
     if cfg.max_degree > BRUTEFORCE_MAX_DEGREE:
         raise BudgetError(f"family=all search is guarded at degree {BRUTEFORCE_MAX_DEGREE}")
     table = _divisor_sum_tables(cfg.max_degree, cfg.mode == "unitary")
-    masks = range(len(table))
-    return [Poly(m) for m in compress(masks, map(eq, table, masks)) if m > 1]
+    n = len(table)
+    plane = memoryview(table).cast("B")[0 if sys.byteorder == "little" else 3 :: 4]
+    identity = (bytes(range(256)) * (n + 255 >> 8))[:n]  # m mod 256 for each m
+    diff = (int.from_bytes(plane, "little") ^ int.from_bytes(identity, "little")).to_bytes(n, "little")
+    hits = []
+    m = diff.find(0, 2)  # 0 and 1 are not hits
+    while m >= 0:
+        if table[m] == m:
+            hits.append(Poly(m))
+        m = diff.find(0, m + 1)
+    return hits
 
 
-@dataclass(frozen=True)
-class HitClass:
+class HitClass(NamedTuple):
     """One power-of-two equivalence class among search hits."""
 
     rep: Poly
@@ -258,8 +320,7 @@ class HitClass:
     decomposable: bool
 
 
-@dataclass(frozen=True)
-class ClassificationReport:
+class ClassificationReport(NamedTuple):
     classes: tuple[HitClass, ...]
 
     @property

@@ -16,9 +16,9 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import islice
+from typing import NamedTuple
 
 from . import _intmath
 from ._intmath import euler_phi
@@ -41,8 +41,7 @@ _PRIMITIVE_SAMPLED_DEGREE = 13
 _PRIMITIVE_SAMPLES = 12
 
 
-@dataclass(frozen=True)
-class TheoremReport:
+class TheoremReport(NamedTuple):
     """Machine-readable outcome of one claim checker."""
 
     claim_id: str

@@ -12,6 +12,7 @@ import random
 
 import pytest
 
+from gf2perfect.divisors import check
 from gf2perfect.factor import _factorize_cached, is_irreducible
 from gf2perfect.gf2poly import (
     _MUL_WINDOW_CUTOVER,
@@ -23,7 +24,7 @@ from gf2perfect.gf2poly import (
     _sqr_mask,
     _sqrt_mask,
 )
-from gf2perfect.search import _divisor_sum_tables
+from gf2perfect.search import SearchConfig, _divisor_sum_tables, search_bruteforce
 
 DEGREES = (64, 256, 1024)
 
@@ -45,6 +46,13 @@ def test_divisor_sum_tables_20(benchmark, unitary):
     table = benchmark(_divisor_sum_tables, 20, unitary)
     # sigma(x^20) = 1 + x + ... + x^20, sigma*(x^20) = x^20 + 1
     assert table[1 << 20] == (1 << 20 | 1 if unitary else (1 << 21) - 1)
+
+
+@pytest.mark.parametrize("mode, count", [("perfect", 12), ("unitary", 15)])
+def test_search_bruteforce_18(benchmark, mode, count):
+    # the table plus the fixed-point scan, as the oracle-bruteforce workload runs it
+    hits = benchmark(search_bruteforce, SearchConfig(18, mode))
+    assert len(hits) == count and all(check(p, mode).verdict for p in hits)
 
 
 @pytest.mark.parametrize("degree", DEGREES)

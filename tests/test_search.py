@@ -3,8 +3,9 @@ from itertools import islice
 
 import pytest
 
+from gf2perfect import search
 from gf2perfect.divisors import canonical_class_rep, check, sigma, sigma_star
-from gf2perfect.factor import factorize, is_irreducible
+from gf2perfect.factor import count_irreducibles, factorize, is_irreducible
 from gf2perfect.gf2poly import X, XP1, BudgetError, Poly, parse
 from gf2perfect.mersenne import catalog, mersenne_form
 from gf2perfect.search import (
@@ -105,6 +106,24 @@ def test_divisor_sum_table_across_the_half_degree(degree, unitary, divisor_sum):
 @pytest.mark.parametrize("unitary", [False, True], ids=["sigma", "sigma_star"])
 def test_divisor_sum_table_prefix_consistent(unitary):
     assert _divisor_sum_tables(16, unitary) == _divisor_sum_tables(18, unitary)[: 1 << 17]
+
+
+@pytest.mark.parametrize("unitary", [False, True], ids=["sigma", "sigma_star"])
+def test_bruteforce_plane_scan_finds_every_fixed_point(unitary):
+    # the low-byte scan against the table read entry by entry; degrees up to 6
+    # give tables shorter than one 256-byte period of the identity plane
+    mode = "unitary" if unitary else "perfect"
+    for degree in range(1, 13):
+        table = _divisor_sum_tables(degree, unitary)
+        fixed = [Poly(m) for m in range(2, len(table)) if table[m] == m]
+        assert search_bruteforce(SearchConfig(degree, mode)) == fixed, degree
+
+
+def test_divisor_sum_table_guards_each_bucket(monkeypatch):
+    # a bucket whose size differs from 2^(d-1) - N(d) stops the build at its degree
+    monkeypatch.setattr(search, "count_irreducibles", lambda d: count_irreducibles(d) + (d == 5))
+    with pytest.raises(RuntimeError, match="degree 5"):
+        _divisor_sum_tables(8, False)
 
 
 @cache
