@@ -149,9 +149,8 @@ def _cmd_verify(args):
 
 
 def _cmd_search(args):
-    cfg = search.SearchConfig(max_degree=args.max_degree, mode=args.mode)
     run = search.search_bruteforce if args.family == "all" else search.search_structured
-    report = search.classify_hits(run(cfg), args.mode)
+    report = search.classify_hits(run(args.max_degree, args.mode), args.mode)
     lines = []
     if args.all_powers:
         shown = [(member, cls) for cls in report.classes for member in cls.members]

@@ -3,20 +3,16 @@
 sigma(A) is the sum of all divisors of A (including 1 and A) and
 sigma_star(A) the sum of the unitary divisors d, those with
 gcd(d, A/d) = 1.  Both are multiplicative, so they are computed from the
-factorization one prime power at a time; brute-force oracles that
-literally enumerate divisors are provided for cross-checking.
+factorization one prime power at a time; sigma_prime_power and
+factor_sigma_prime_power, here only, form and split each such sum.
 """
 
 from __future__ import annotations
 
-from itertools import product
 from typing import NamedTuple
 
-from .factor import Factorization, factorize, is_irreducible
-from .gf2poly import ONE, X, BudgetError, Poly, gcd
-
-#: sigma_oracle refuses inputs above this degree (divisor counts explode).
-ORACLE_DEGREE_CAP = 24
+from .factor import Factorization, factorize, factorize_composed, is_irreducible
+from .gf2poly import ONE, X, BudgetError, Poly
 
 #: is_indecomposable enumerates 2^omega coprime splits; cap omega here.
 INDECOMPOSABLE_OMEGA_CAP = 20
@@ -46,26 +42,28 @@ class PerfectionReport(NamedTuple):
         return obj
 
 
-def _sigma_prime_power(prime: Poly, n: int) -> Poly:
+def sigma_prime_power(prime: Poly, n: int, unitary: bool = False) -> Poly:
+    """sigma(prime^n), or sigma*(prime^n) = prime^n + 1 when unitary; n >= 1."""
+    if unitary:
+        return prime**n + ONE
     # 1 + P + ... + P^n as (P^(n+1) + 1) / (P + 1); exact by construction
     q, r = divmod(prime ** (n + 1) + ONE, prime + ONE)
     assert not r
     return q
 
 
-def _sigma_prime_power_naive(prime: Poly, n: int) -> Poly:
-    # Horner form of the geometric sum; cross-checks the closed form
-    acc = ONE
-    for _ in range(n):
-        acc = acc * prime + ONE
-    return acc
+def factor_sigma_prime_power(prime: Poly, n: int, unitary: bool = False) -> Factorization:
+    """factorize(sigma_prime_power(prime, n, unitary)) for an irreducible prime, as
+    c(prime) with c = 1 + z + ... + z^n, or z^n + 1 when unitary (factorize_composed)."""
+    c = Poly(1 << n | 1) if unitary else Poly((2 << n) - 1)
+    return factorize_composed(c, prime)
 
 
-def sigma_of_factored(fact: Factorization) -> Poly:
-    """sigma of the polynomial whose complete factorization is fact."""
+def sigma_of_factored(fact: Factorization, unitary: bool = False) -> Poly:
+    """sigma (or sigma*) of the polynomial whose complete factorization is fact."""
     out = ONE
     for prime, n in fact:
-        out = out * _sigma_prime_power(prime, n)
+        out = out * sigma_prime_power(prime, n, unitary)
     return out
 
 
@@ -80,44 +78,7 @@ def sigma_star(a: Poly) -> Poly:
     """Sum of the unitary divisors: product of 1 + P^n over P^n || a."""
     if not a:
         raise ValueError("sigma* is undefined for the zero polynomial")
-    out = ONE
-    for prime, n in factorize(a):
-        out = out * (prime**n + ONE)
-    return out
-
-
-def _divisors(fact: Factorization):
-    primes = fact.primes()
-    for exps in product(*[range(m + 1) for _, m in fact.factors]):
-        d = ONE
-        for p, e in zip(primes, exps):
-            d = d * p**e
-        yield d
-
-
-def sigma_oracle(a: Poly) -> Poly:
-    """Literal sum over all divisors; degree-capped verification oracle."""
-    if not a:
-        raise ValueError("sigma is undefined for the zero polynomial")
-    if a.degree > ORACLE_DEGREE_CAP:
-        raise BudgetError(f"oracle is capped at degree {ORACLE_DEGREE_CAP}")
-    out = Poly(0)
-    for d in _divisors(factorize(a)):
-        out = out + d
-    return out
-
-
-def sigma_star_oracle(a: Poly) -> Poly:
-    """Literal sum over divisors d with gcd(d, a/d) = 1; degree-capped."""
-    if not a:
-        raise ValueError("sigma* is undefined for the zero polynomial")
-    if a.degree > ORACLE_DEGREE_CAP:
-        raise BudgetError(f"oracle is capped at degree {ORACLE_DEGREE_CAP}")
-    out = Poly(0)
-    for d in _divisors(factorize(a)):
-        if gcd(d, a // d) == ONE:
-            out = out + d
-    return out
+    return sigma_of_factored(factorize(a), unitary=True)
 
 
 def exact_power(prime: Poly, s: Poly) -> int:
@@ -149,40 +110,29 @@ def _witness(subject: Poly, divisor_sum: Poly):
     return None
 
 
-def is_perfect(a: Poly) -> PerfectionReport:
-    """Test sigma(a) = a, with a disagreeing prime-power pair on failure."""
+def check(a: Poly, mode: str) -> PerfectionReport:
+    """Test sigma(a) = a (mode 'perfect') or sigma*(a) = a (mode 'unitary'),
+    with a disagreeing prime-power pair on failure."""
+    unitary = mode == "unitary"
+    if not unitary and mode != "perfect":
+        raise ValueError(f"unknown mode {mode!r}")
     if not a:
         raise ValueError("perfection is undefined for the zero polynomial")
-    s = sigma(a)
+    s = sigma_of_factored(factorize(a), unitary)
+    report_mode = MODE_SIGMA_STAR if unitary else MODE_SIGMA
     if s == a:
-        return PerfectionReport(a, MODE_SIGMA, True)
-    return PerfectionReport(a, MODE_SIGMA, False, _witness(a, s))
+        return PerfectionReport(a, report_mode, True)
+    return PerfectionReport(a, report_mode, False, _witness(a, s))
+
+
+def is_perfect(a: Poly) -> PerfectionReport:
+    """Test sigma(a) = a, with a disagreeing prime-power pair on failure."""
+    return check(a, "perfect")
 
 
 def is_unitary_perfect(a: Poly) -> PerfectionReport:
     """Test sigma*(a) = a, with a disagreeing prime-power pair on failure."""
-    if not a:
-        raise ValueError("perfection is undefined for the zero polynomial")
-    s = sigma_star(a)
-    if s == a:
-        return PerfectionReport(a, MODE_SIGMA_STAR, True)
-    return PerfectionReport(a, MODE_SIGMA_STAR, False, _witness(a, s))
-
-
-def check(a: Poly, mode: str) -> PerfectionReport:
-    """Dispatch on mode: 'perfect' -> sigma, 'unitary' -> sigma*."""
-    if mode == "perfect":
-        return is_perfect(a)
-    if mode == "unitary":
-        return is_unitary_perfect(a)
-    raise ValueError(f"unknown mode {mode!r}")
-
-
-def is_even_poly(a: Poly) -> bool:
-    """True iff a has a linear factor (x or x+1)."""
-    if not a:
-        raise ValueError("evenness is undefined for the zero polynomial")
-    return a.mask & 1 == 0 or a.mask.bit_count() % 2 == 0
+    return check(a, "unitary")
 
 
 def is_indecomposable(a: Poly, mode: str = "perfect") -> bool:
@@ -191,21 +141,23 @@ def is_indecomposable(a: Poly, mode: str = "perfect") -> bool:
 
     Searches all coprime splits obtained by grouping prime powers.
     """
-    report = check(a, mode)
-    if not report.verdict:
+    if not check(a, mode).verdict:
         raise ValueError(f"input is not {mode} so indecomposability does not apply")
+    unitary = mode == "unitary"
     fact = factorize(a)
     k = len(fact)
     if k > INDECOMPOSABLE_OMEGA_CAP:
         raise BudgetError(f"coprime-split search capped at {INDECOMPOSABLE_OMEGA_CAP} primes")
-    parts = [p**m for p, m in fact]
+    parts = [(p**m, sigma_prime_power(p, m, unitary)) for p, m in fact]
     for bits in range(1, 1 << (k - 1) if k else 0):
-        u = ONE
+        # a = sigma(a) = sigma(u) sigma(a/u) for the coprime split a = u (a/u),
+        # so sigma(u) = u forces sigma(a/u) = a/u: one comparison decides
+        u = su = ONE
         for i in range(k):
             if bits >> i & 1:
-                u = u * parts[i]
-        v = a // u
-        if check(u, mode).verdict and check(v, mode).verdict:
+                u = u * parts[i][0]
+                su = su * parts[i][1]
+        if su == u:
             return False
     return True
 

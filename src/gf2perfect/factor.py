@@ -19,10 +19,10 @@ factorize_composed factors c(p), the polynomial c with p substituted for
 x, one irreducible factor q of c at a time: c(p) is the product of the
 q(p)^e, and each q(p) is usually far smaller than c(p).  The divisor
 sums sigma(P^n) = (1 + z + ... + z^n)(P) and sigma*(P^n) = (z^n + 1)(P)
-of an irreducible P reach factorize only as these pieces.  verify splits
-each sigma(M^n) once per (M, n); a piece that recurs across n
-(z^2 + z + 1 divides 1 + z + ... + z^2h whenever 3 | 2h + 1) is answered
-from factorize's cache, the only cache in this module.
+of an irreducible P reach factorize only as these pieces, split by
+divisors.factor_sigma_prime_power for search and verify.  A piece that
+recurs across n (z^2 + z + 1 divides 1 + z + ... + z^2h whenever
+3 | 2h + 1) is answered from factorize's cache, the only one here.
 """
 
 from __future__ import annotations

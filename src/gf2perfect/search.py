@@ -2,20 +2,21 @@
 
 The structured search enumerates the family x^a (x+1)^b * prod P_i^h_i
 with every P_i a Mersenne prime.  Each part's divisor sum is factored
-once and packed into one integer exponent vector over x, x+1 and the
-Mersenne primes in range; a part whose divisor sum has any other prime
-is dropped (that prime would divide the whole polynomial, so nothing is
-lost).  The enumeration then only adds and compares integers.  The
-brute-force search makes no assumption about which primes appear: it
-builds every mask's divisor sum by multiplicativity, prime by prime in a
-fixed order, so each mask is produced exactly once, and it tests
-sigma(A) = A literally: the low byte of every table entry is compared
-with the mask's own at once, and each match is confirmed in full.  Its
-products run on whole arrays at a time, 32-bit lanes packed into one int
-and multiplied by a fixed polynomial with shifts and XORs; no product
-reaches degree 32, so no lane carries into the next.  It is the oracle the structured route is checked
-against up to BRUTEFORCE_MAX_DEGREE, the degree of T8 and T9.  Both
-return the sorted hits; classify_hits groups and flags them.
+once (divisors.factor_sigma_prime_power) and packed into one integer
+exponent vector over x, x+1 and the Mersenne primes in range; a part
+whose divisor sum has any other prime is dropped (that prime would
+divide the whole polynomial, so nothing is lost).  The enumeration then
+only adds and compares integers.  The brute-force search makes no
+assumption about which primes appear: it builds every mask's divisor sum
+by multiplicativity, prime by prime in a fixed order, so each mask is
+produced exactly once, and it tests sigma(A) = A literally: the low byte
+of every table entry is compared with the mask's own at once, and each
+match is confirmed in full.  Its products run on whole arrays at a time,
+32-bit lanes packed into one int and multiplied by a fixed polynomial
+with shifts and XORs; no product reaches degree 32, so no lane carries
+into the next.  It is the oracle the structured route is checked against
+up to BRUTEFORCE_MAX_DEGREE, the degree of T8 and T9.  Both return the
+sorted hits; classify_hits groups and flags them.
 """
 
 from __future__ import annotations
@@ -27,11 +28,11 @@ from itertools import accumulate, compress, repeat
 from operator import not_, setitem, xor
 from typing import NamedTuple
 
-from .divisors import canonical_class_rep, is_indecomposable
-from .factor import count_irreducibles, factorize, factorize_composed
+from .divisors import canonical_class_rep, factor_sigma_prime_power, is_indecomposable
+from .factor import count_irreducibles, factorize
 # bench/trace_launch.py wraps search._mul_mask and search._divmod_mask by
 # name, so both stay imported here although search calls neither.
-from .gf2poly import ONE, X, XP1, BudgetError, Poly, _divmod_mask, _mul_mask
+from .gf2poly import X, XP1, BudgetError, Poly, _divmod_mask, _mul_mask
 from .mersenne import catalog, enumerate_mersenne_primes, mersenne_form
 
 #: Hard guard for the exhaustive family=all search (2^(D+1) sigma values).
@@ -40,38 +41,14 @@ BRUTEFORCE_MAX_DEGREE = 20
 MODES = ("perfect", "unitary")
 
 
-class SearchConfig:
-    """Degree bound and mode of one search, checked when built; immutable."""
-
-    __slots__ = ("max_degree", "mode")
-
-    def __init__(self, max_degree: int, mode: str = "perfect"):
-        if max_degree < 1:
-            raise ValueError("max_degree must be positive")
-        if mode not in MODES:
-            raise ValueError(f"mode must be one of {MODES}")
-        object.__setattr__(self, "max_degree", max_degree)
-        object.__setattr__(self, "mode", mode)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("SearchConfig is immutable")
-
-    def __eq__(self, other):
-        if not isinstance(other, SearchConfig):
-            return NotImplemented
-        return (self.max_degree, self.mode) == (other.max_degree, other.mode)
-
-    def __hash__(self):
-        return hash((self.max_degree, self.mode))
-
-    def __reduce__(self):
-        return (SearchConfig, (self.max_degree, self.mode))
-
-    def __repr__(self):
-        return f"SearchConfig(max_degree={self.max_degree!r}, mode={self.mode!r})"
+def _check_search_args(max_degree: int, mode: str):
+    if max_degree < 1:
+        raise ValueError("max_degree must be positive")
+    if mode not in MODES:
+        raise ValueError(f"mode must be one of {MODES}")
 
 
-def _part_sigma_table(cfg: SearchConfig):
+def _part_sigma_table(max_degree: int, mode: str):
     """Packed divisor sums for every admissible part.
 
     Each prime the search can use gets a fixed index: x is 0, x+1 is 1
@@ -86,20 +63,17 @@ def _part_sigma_table(cfg: SearchConfig):
     linear tables map an exponent to its packed sum, and prime_parts[i]
     does the same for primes[i].
     """
-    unitary = cfg.mode == "unitary"
+    unitary = mode == "unitary"
     primes = []
-    if cfg.max_degree >= 4:  # smallest candidate with an odd part is x(x+1)M1
-        found = enumerate_mersenne_primes(cfg.max_degree - 2)
+    if max_degree >= 4:  # smallest candidate with an odd part is x(x+1)M1
+        found = enumerate_mersenne_primes(max_degree - 2)
         primes = sorted((m.poly for m in found), key=lambda p: (-p.degree, p.mask))
-    width = cfg.max_degree.bit_length() + 1
+    width = max_degree.bit_length() + 1
     shift = {p: width * i for i, p in enumerate([X, XP1, *primes])}
 
     def part_sum(base: Poly, e: int):
-        # base is irreducible, so sigma*(base^e) = c(base) with c = z^e + 1
-        # and sigma(base^e) = c(base) with c = 1 + z + ... + z^e
-        c = X**e + ONE if unitary else (X ** (e + 1) + ONE) // XP1
         packed = 0
-        for p, m in factorize_composed(c, base):
+        for p, m in factor_sigma_prime_power(base, e, unitary):
             if p not in shift:
                 return None
             packed += m << shift[p]
@@ -108,13 +82,13 @@ def _part_sigma_table(cfg: SearchConfig):
     def table(base: Poly, top: int):
         return {e: s for e in range(1, top + 1) if (s := part_sum(base, e)) is not None}
 
-    x_parts = table(X, cfg.max_degree - 1)
-    xp1_parts = table(XP1, cfg.max_degree - 1)
-    prime_parts = [table(p, (cfg.max_degree - 2) // p.degree) for p in primes]
+    x_parts = table(X, max_degree - 1)
+    xp1_parts = table(XP1, max_degree - 1)
+    prime_parts = [table(p, (max_degree - 2) // p.degree) for p in primes]
     return width, primes, x_parts, xp1_parts, prime_parts
 
 
-def search_structured(cfg: SearchConfig) -> list[Poly]:
+def search_structured(max_degree: int, mode: str = "perfect") -> list[Poly]:
     """All (unitary) perfect polynomials of the Mersenne-restricted family, sorted.
 
     A candidate x^a (x+1)^b * prod P_i^h_i is perfect iff the divisor
@@ -124,7 +98,8 @@ def search_structured(cfg: SearchConfig) -> list[Poly]:
     odd part's sums fix b from a through the (x+1) field, so each odd
     part costs one probe per admissible a; a Poly is built only for a hit.
     """
-    width, primes, x_parts, xp1_parts, prime_parts = _part_sigma_table(cfg)
+    _check_search_args(max_degree, mode)
+    width, primes, x_parts, xp1_parts, prime_parts = _part_sigma_table(max_degree, mode)
     field = (1 << width) - 1
     degrees = [p.degree for p in primes]
     x_probes = [(a, fx, fx >> width & field) for a, fx in x_parts.items()]
@@ -160,7 +135,7 @@ def search_structured(cfg: SearchConfig) -> list[Poly]:
                 if h * d <= budget:
                     extend(j + 1, budget - h * d, sums + s, odd + (h << width * (j + 2)))
 
-    extend(0, cfg.max_degree - 2, 0, 0)
+    extend(0, max_degree - 2, 0, 0)
     hits.sort()
     return hits
 
@@ -286,16 +261,17 @@ def _divisor_sum_tables(max_degree: int, unitary: bool):
     return table
 
 
-def search_bruteforce(cfg: SearchConfig) -> list[Poly]:
+def search_bruteforce(max_degree: int, mode: str = "perfect") -> list[Poly]:
     """Exhaustive scan of every polynomial of degree <= max_degree.
 
     A fixed point table[m] = m agrees with m in its low byte, so the scan
     XORs the table's low-byte plane with the bytes m mod 256 and confirms
     each zero byte, about one lane in 256, with the full comparison.
     """
-    if cfg.max_degree > BRUTEFORCE_MAX_DEGREE:
+    _check_search_args(max_degree, mode)
+    if max_degree > BRUTEFORCE_MAX_DEGREE:
         raise BudgetError(f"family=all search is guarded at degree {BRUTEFORCE_MAX_DEGREE}")
-    table = _divisor_sum_tables(cfg.max_degree, cfg.mode == "unitary")
+    table = _divisor_sum_tables(max_degree, mode == "unitary")
     n = len(table)
     plane = memoryview(table).cast("B")[0 if sys.byteorder == "little" else 3 :: 4]
     identity = (bytes(range(256)) * (n + 255 >> 8))[:n]  # m mod 256 for each m

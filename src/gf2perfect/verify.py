@@ -22,9 +22,9 @@ from typing import NamedTuple
 
 from . import _intmath
 from ._intmath import euler_phi
-from .divisors import sigma, sigma_of_factored
-from .factor import count_irreducibles, factorize_composed, is_irreducible, is_primitive
-from .gf2poly import ONE, X, XP1, Poly
+from .divisors import factor_sigma_prime_power, sigma_of_factored, sigma_prime_power
+from .factor import count_irreducibles, is_irreducible, is_primitive
+from .gf2poly import X, XP1, Poly
 from .mersenne import MersennePrime, catalog, enumerate_mersenne_primes, in_delta, mersenne_form, mersenne_poly
 
 #: Default cap on deg(M^2h) for swept instances.
@@ -66,11 +66,10 @@ def _m_params(m: MersennePrime, **extra):
 @lru_cache(maxsize=8192)
 def _sigma_power(m: MersennePrime, n: int):
     # sigma(M^n) and its factorization, computed once per (M, n) for every
-    # check that reads them.  sigma(M^n) = c_n(M) with c_n = 1 + z + ... + z^n,
-    # factored one irreducible piece q(M) of c_n at a time; a piece that
-    # recurs across n is answered from factorize's cache
-    s = sigma(m.poly**n)
-    return s, factorize_composed((X ** (n + 1) + ONE) // XP1, m.poly)
+    # check that reads them.  The sum comes from the closed form and the
+    # split piece by piece, two routes; a piece that recurs across n is
+    # answered from factorize's cache
+    return sigma_prime_power(m.poly, n), factor_sigma_prime_power(m.poly, n)
 
 
 def _classify_factors(fact):

@@ -24,7 +24,7 @@ from gf2perfect.gf2poly import (
     _sqr_mask,
     _sqrt_mask,
 )
-from gf2perfect.search import SearchConfig, _divisor_sum_tables, search_bruteforce
+from gf2perfect.search import _divisor_sum_tables, search_bruteforce
 
 DEGREES = (64, 256, 1024)
 
@@ -51,7 +51,7 @@ def test_divisor_sum_tables_20(benchmark, unitary):
 @pytest.mark.parametrize("mode, count", [("perfect", 12), ("unitary", 15)])
 def test_search_bruteforce_18(benchmark, mode, count):
     # the table plus the fixed-point scan, as the oracle-bruteforce workload runs it
-    hits = benchmark(search_bruteforce, SearchConfig(18, mode))
+    hits = benchmark(search_bruteforce, 18, mode)
     assert len(hits) == count and all(check(p, mode).verdict for p in hits)
 
 

@@ -11,23 +11,16 @@ import sys
 import time
 
 from gf2perfect.cli import main as cli_main
-from gf2perfect.divisors import (
-    is_even_poly,
-    is_perfect,
-    is_unitary_perfect,
-    sigma,
-    sigma_oracle,
-    sigma_star,
-    sigma_star_oracle,
-)
+from gf2perfect.divisors import is_perfect, is_unitary_perfect, sigma, sigma_star
 from gf2perfect import euler_phi
 from gf2perfect.factor import count_irreducibles, factorize, is_irreducible
 from gf2perfect.divisors import canonical_class_rep
 from gf2perfect.gf2poly import ONE, X, XP1, Poly, parse
 from gf2perfect.mersenne import catalog, enumerate_mersenne_primes, in_delta, mersenne_form
-from gf2perfect.search import SearchConfig, classify_hits, search_bruteforce, search_structured
+from gf2perfect.search import classify_hits, search_bruteforce, search_structured
 from gf2perfect.verify import run_all, failures
 from gf2perfect._intmath import prime_factors
+from oracles import is_even_poly, sigma_oracle, sigma_star_oracle
 
 CAT = catalog()
 
@@ -89,12 +82,12 @@ def test_criterion_04_classification_reproduction():
     problems = []
     start = time.perf_counter()
 
-    hits = search_structured(SearchConfig(max_degree=36, mode="perfect"))
+    hits = search_structured(36, "perfect")
     trivials = {(X * XP1) ** ((1 << n) - 1) for n in range(1, 5)}  # degrees 2, 6, 14, 30
     if set(hits) != trivials | set(CAT.perfects):
         problems.append("perfect hits at degree 36 differ from trivials + the nine")
 
-    uhits = search_structured(SearchConfig(max_degree=30, mode="unitary"))
+    uhits = search_structured(30, "unitary")
     report = classify_hits(uhits, "unitary")
     nontrivial = report.nontrivial
     expected_reps = {canonical_class_rep(b) for b in CAT.unitary_perfects}
@@ -119,13 +112,13 @@ def test_criterion_04_classification_reproduction():
 
     # brute-force oracle agreement on its range, both modes
     for mode in ("perfect", "unitary"):
-        brute = search_bruteforce(SearchConfig(max_degree=16, mode=mode))
+        brute = search_bruteforce(16, mode)
         restricted = sorted(
             p
             for p in brute
             if all(q == X or q == XP1 or mersenne_form(q) is not None for q, _ in factorize(p))
         )
-        structured16 = search_structured(SearchConfig(max_degree=16, mode=mode))
+        structured16 = search_structured(16, mode)
         if restricted != structured16:
             problems.append(f"oracle disagreement at degree 16 in {mode} mode")
 
@@ -302,7 +295,7 @@ def test_criterion_10_property_suites():
             break
 
     # conjugate/power closure and evenness on every unitary hit
-    uhits = search_structured(SearchConfig(max_degree=24, mode="unitary"))
+    uhits = search_structured(24, "unitary")
     for c in uhits:
         if not is_even_poly(c):
             problems.append(f"unitary hit {c} is odd")

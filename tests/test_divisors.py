@@ -6,20 +6,17 @@ from gf2perfect.divisors import (
     canonical_class_rep,
     check,
     exact_power,
-    is_even_poly,
     is_indecomposable,
     is_perfect,
     is_unitary_perfect,
     sigma,
-    sigma_oracle,
+    sigma_prime_power,
     sigma_star,
-    sigma_star_oracle,
-    _sigma_prime_power,
-    _sigma_prime_power_naive,
 )
 from gf2perfect.factor import factorize, is_irreducible
 from gf2perfect.gf2poly import ONE, X, XP1, BudgetError, Poly, gcd, parse
 from gf2perfect.mersenne import catalog
+from oracles import _sigma_prime_power_naive, is_even_poly, sigma_oracle, sigma_star_oracle
 
 CAT = catalog()
 
@@ -38,7 +35,7 @@ def test_sigma_closed_form_vs_horner():
     for _ in range(100):
         p = rng.choice(primes)
         n = rng.randrange(1, 9)
-        assert _sigma_prime_power(p, n) == _sigma_prime_power_naive(p, n)
+        assert sigma_prime_power(p, n) == _sigma_prime_power_naive(p, n)
 
 
 def test_sigma_star_examples():

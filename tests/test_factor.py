@@ -14,7 +14,8 @@ from gf2perfect.factor import (
     pow_mod,
 )
 from gf2perfect.gf2poly import ONE, X, XP1, BudgetError, Poly, _gcd_mask, _mul_mask, _reducer, parse
-from gf2perfect.divisors import sigma
+from gf2perfect.divisors import factor_sigma_prime_power, sigma, sigma_prime_power
+from oracles import rabin_irreducible
 
 
 def trial_division_irreducible(p):
@@ -67,6 +68,7 @@ def test_factorize_reconstruction_random():
         for q, m in fact:
             assert m >= 1
             assert is_irreducible(q)
+            assert rabin_irreducible(q)  # shares no loop with the factorizer
         assert fact.primes() == tuple(sorted(fact.primes()))
 
 
@@ -103,6 +105,13 @@ def test_factorize_composed_matches_factorize_of_the_whole():
             assert factorize_composed(c, m.poly) == factorize(sigma(m.poly**n)), (m.poly, n)
         for e in range(1, 41):
             assert factorize_composed(Poly(1 << e | 1), m.poly) == factorize(ONE + m.poly**e), (m.poly, e)
+    # the divisors layer's split of each prime power's divisor sum, against
+    # factoring its closed form whole
+    for p in [X, XP1, *(m.poly for m in enumerate_mersenne_primes(6))]:
+        for unitary in (False, True):
+            for n in range(1, 41):
+                want = factorize(sigma_prime_power(p, n, unitary))
+                assert factor_sigma_prime_power(p, n, unitary) == want, (p, n, unitary)
     m1, m2 = parse("x^2+x+1"), parse("x^3+x+1")
     repeated = [X**4 * XP1**7 * m1**3 * m2**2, XP1**8, m1**2 * m2**5, XP1 * X**3 * parse("x^5+x^2+1") ** 4]
     for c in repeated:

@@ -12,7 +12,6 @@ import gf2perfect
 from gf2perfect.factor import Factorization, factorize
 from gf2perfect.gf2poly import X, XP1, parse
 from gf2perfect.mersenne import catalog
-from gf2perfect.search import SearchConfig
 from gf2perfect.verify import TheoremReport
 
 
@@ -29,13 +28,12 @@ def test_cli_import_does_not_load_dataclasses():
 
 RECORDS = [
     (lambda: factorize(parse("x^3+x")), "factors"),
-    (lambda: SearchConfig(8), "max_degree"),
     (lambda: catalog().mersenne_witness(catalog().lookup("M2")), "a"),
     (lambda: TheoremReport("lemma3.2", {"M": "x^2+x+1"}, "pass"), "verdict"),
 ]
 
 
-@pytest.mark.parametrize("build, field", RECORDS, ids=["Factorization", "SearchConfig", "MersennePrime", "TheoremReport"])
+@pytest.mark.parametrize("build, field", RECORDS, ids=["Factorization", "MersennePrime", "TheoremReport"])
 def test_records_are_immutable(build, field):
     record = build()
     with pytest.raises(AttributeError):
@@ -44,14 +42,8 @@ def test_records_are_immutable(build, field):
 
 def test_slotted_records_compare_hash_repr_and_pickle():
     fact = factorize(parse("x^3+x"))
-    pairs = [
-        (SearchConfig(8, "unitary"), SearchConfig(max_degree=8, mode="unitary")),
-        (fact, Factorization(factors=((X, 1), (XP1, 2)))),
-    ]
-    for a, b in pairs:
-        assert a == b and hash(a) == hash(b)
-        assert pickle.loads(pickle.dumps(a)) == a
-    assert SearchConfig(8) != SearchConfig(8, "unitary")
-    assert SearchConfig(8) != (8, "perfect")
-    assert repr(SearchConfig(8)) == "SearchConfig(max_degree=8, mode='perfect')"
+    same = Factorization(factors=((X, 1), (XP1, 2)))
+    assert fact == same and hash(fact) == hash(same)
+    assert pickle.loads(pickle.dumps(fact)) == fact
+    assert repr(fact) == "Factorization(factors=((Poly('x'), 1), (Poly('x+1'), 2)))"
     assert list(fact) == [(X, 1), (XP1, 2)] and len(fact) == 2

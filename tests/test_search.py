@@ -4,12 +4,11 @@ from itertools import islice
 import pytest
 
 from gf2perfect import search
-from gf2perfect.divisors import canonical_class_rep, check, sigma, sigma_star
+from gf2perfect.divisors import canonical_class_rep, check, is_indecomposable, sigma, sigma_star
 from gf2perfect.factor import count_irreducibles, factorize, is_irreducible
 from gf2perfect.gf2poly import X, XP1, BudgetError, Poly, parse
 from gf2perfect.mersenne import catalog, mersenne_form
 from gf2perfect.search import (
-    SearchConfig,
     _divisor_sum_tables,
     _part_sigma_table,
     classify_hits,
@@ -25,21 +24,22 @@ def mersenne_only_odd_part(p):
 
 
 def test_config_validation():
-    with pytest.raises(ValueError):
-        SearchConfig(max_degree=0)
-    with pytest.raises(ValueError):
-        SearchConfig(max_degree=8, mode="odd")
+    for run in (search_structured, search_bruteforce):
+        with pytest.raises(ValueError, match="max_degree must be positive"):
+            run(0)
+        with pytest.raises(ValueError, match="mode must be one of"):
+            run(8, "odd")
     with pytest.raises(BudgetError):
-        search_bruteforce(SearchConfig(21))
+        search_bruteforce(21)
 
 
 def test_bruteforce_trivial_budgets():
-    assert search_bruteforce(SearchConfig(max_degree=1)) == []
-    assert search_bruteforce(SearchConfig(max_degree=3)) == [parse("x^2+x")]
+    assert search_bruteforce(1) == []
+    assert search_bruteforce(3) == [parse("x^2+x")]
 
 
 def test_bruteforce_small_unitary():
-    hits = search_bruteforce(SearchConfig(max_degree=10, mode="unitary"))
+    hits = search_bruteforce(10, "unitary")
     assert CAT.lookup("B1") in hits  # degree 10
     assert CAT.lookup("B2") in hits  # degree 7
     for a in hits:
@@ -48,7 +48,7 @@ def test_bruteforce_small_unitary():
 
 def test_bruteforce_matches_direct_scan():
     # independent oracle: test sigma(A) = A via the factorization route
-    hits = search_bruteforce(SearchConfig(max_degree=9))
+    hits = search_bruteforce(9)
     direct = [Poly(m) for m in range(2, 1 << 10) if sigma(Poly(m)) == Poly(m)]
     assert hits == direct
 
@@ -116,7 +116,7 @@ def test_bruteforce_plane_scan_finds_every_fixed_point(unitary):
     for degree in range(1, 13):
         table = _divisor_sum_tables(degree, unitary)
         fixed = [Poly(m) for m in range(2, len(table)) if table[m] == m]
-        assert search_bruteforce(SearchConfig(degree, mode)) == fixed, degree
+        assert search_bruteforce(degree, mode) == fixed, degree
 
 
 def test_divisor_sum_table_guards_each_bucket(monkeypatch):
@@ -129,7 +129,7 @@ def test_divisor_sum_table_guards_each_bucket(monkeypatch):
 @cache
 def bruteforce_at_20(mode):
     # one exhaustive scan per mode, shared by the degree-20 tests
-    return search_bruteforce(SearchConfig(20, mode))
+    return search_bruteforce(20, mode)
 
 
 def test_bruteforce_classification_at_degree_20():
@@ -154,18 +154,18 @@ def test_bruteforce_unitary_classification_at_degree_20():
 @pytest.mark.parametrize("mode", ["perfect", "unitary"])
 def test_structured_vs_bruteforce_degree_20(mode):
     brute = bruteforce_at_20(mode)
-    assert [p for p in brute if mersenne_only_odd_part(p)] == search_structured(SearchConfig(20, mode))
+    assert [p for p in brute if mersenne_only_odd_part(p)] == search_structured(20, mode)
 
 
 def test_structured_smallest():
-    hits = search_structured(SearchConfig(max_degree=3, mode="perfect"))
+    hits = search_structured(3, "perfect")
     assert hits == [parse("x^2+x")]
 
 
 def test_structured_vs_bruteforce_degree_12():
     for mode in ("perfect", "unitary"):
-        brute = search_bruteforce(SearchConfig(max_degree=12, mode=mode))
-        structured = search_structured(SearchConfig(max_degree=12, mode=mode))
+        brute = search_bruteforce(12, mode)
+        structured = search_structured(12, mode)
         assert sorted(p for p in brute if mersenne_only_odd_part(p)) == structured
         for p in structured:
             assert check(p, mode).verdict
@@ -175,8 +175,8 @@ def test_monotone_budgets():
     # (15, 16) and (31, 32) straddle a step of the packed field width
     for mode in ("perfect", "unitary"):
         for lo, hi in ((10, 16), (15, 16), (31, 32)):
-            small = search_structured(SearchConfig(max_degree=lo, mode=mode))
-            large = search_structured(SearchConfig(max_degree=hi, mode=mode))
+            small = search_structured(lo, mode)
+            large = search_structured(hi, mode)
             assert set(small) <= set(large)
             assert all(check(p, mode).verdict for p in small + large)
 
@@ -186,7 +186,7 @@ def test_packed_part_sums_decode():
     for mode in ("perfect", "unitary"):
         divisor_sum = sigma if mode == "perfect" else sigma_star
         for degree in (15, 16, 31, 32):
-            width, primes, x_parts, xp1_parts, prime_parts = _part_sigma_table(SearchConfig(degree, mode))
+            width, primes, x_parts, xp1_parts, prime_parts = _part_sigma_table(degree, mode)
             index = [X, XP1, *primes]
             tables = [(X, x_parts), (XP1, xp1_parts), *zip(primes, prime_parts)]
             for base, table in tables:
@@ -198,7 +198,7 @@ def test_packed_part_sums_decode():
 
 def test_classification_at_degree_40():
     def classes(mode):
-        hits = search_structured(SearchConfig(max_degree=40, mode=mode))
+        hits = search_structured(40, mode)
         return classify_hits(hits, mode).classes
 
     perfect = classes("perfect")
@@ -219,15 +219,40 @@ def test_classification_at_degree_40():
 @pytest.mark.parametrize("mode, degree, count", [("perfect", 60, 13), ("unitary", 48, 10)])
 def test_classification_beyond_degree_40(mode, degree, count):
     # the same classes as at degree 40: the valuation bound loses none
-    report = classify_hits(search_structured(SearchConfig(degree, mode)), mode)
+    report = classify_hits(search_structured(degree, mode), mode)
     assert len(report.classes) == count
     assert report.flagged == ()
     assert all(c.in_catalog or c.trivial for c in report.classes)
 
 
+def indecomposable_by_definition(a, mode):
+    # two-sided reference: no split a = u v into coprime nonconstant parts
+    # with both u and v (unitary) perfect
+    parts = [p**m for p, m in factorize(a)]
+    for bits in range(1, (1 << len(parts)) - 1):
+        u = Poly(1)
+        for i, part in enumerate(parts):
+            if bits >> i & 1:
+                u = u * part
+        if check(u, mode).verdict and check(a // u, mode).verdict:
+            return False
+    return True
+
+
+@pytest.mark.parametrize("mode, count", [("perfect", 15), ("unitary", 34)])
+def test_is_indecomposable_matches_the_two_sided_definition(mode, count):
+    # every hit here is divisible by x(x+1), so no coprime split has two
+    # perfect parts and both sides answer True; the reference still tries
+    # every split, each with two full checks
+    hits = set(search_structured(40, mode)) | set(search_bruteforce(16, mode))
+    assert len(hits) == count
+    for a in sorted(hits):
+        assert is_indecomposable(a, mode) == indecomposable_by_definition(a, mode), a
+
+
 def test_bar_closure_of_hits():
     for mode in ("perfect", "unitary"):
-        hits = set(search_structured(SearchConfig(max_degree=16, mode=mode)))
+        hits = set(search_structured(16, mode))
         assert {p.bar() for p in hits} == hits
 
 
@@ -250,7 +275,7 @@ def test_classify_flags_non_mersenne():
 
 
 def test_classify_perfect_hits_are_singletons():
-    hits = search_structured(SearchConfig(max_degree=16, mode="perfect"))
+    hits = search_structured(16, "perfect")
     report = classify_hits(hits, "perfect")
     nontrivial = report.nontrivial
     assert all(len(c.members) == 1 for c in nontrivial)

@@ -16,19 +16,38 @@ from test_cli import VERIFY_4_2_LINES, VERIFY_4_2_SHA256
 ROOT = Path(__file__).resolve().parents[1]
 
 
-def test_traced_verify_matches_untraced_and_counts_every_layer(tmp_path):
-    trace = tmp_path / "trace.json"
+def env_with_src():
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
-    argv = ["verify", "--max-degree", "4", "--max-h", "2", "--format", "json"]
+    return env
+
+
+def run_traced(tmp_path, argv):
+    """stdout and the per-function aggregates of one traced CLI run."""
+    trace = tmp_path / "trace.json"
     proc = subprocess.run(
         [sys.executable, str(ROOT / "bench" / "trace_launch.py"), str(trace), "t", "--", *argv],
         capture_output=True,
-        env=env,
+        env=env_with_src(),
     )
     assert proc.returncode == 0, proc.stderr.decode()
-    assert len(proc.stdout.splitlines()) == VERIFY_4_2_LINES
-    assert hashlib.sha256(proc.stdout).hexdigest() == VERIFY_4_2_SHA256
-    aggregates = json.loads(trace.read_text())["aggregates"]
-    for name in ("factor.factorize", "divisors.sigma", "gf2poly.mod", "verify.claim.lemma3.2"):
+    return proc.stdout, json.loads(trace.read_text())["aggregates"]
+
+
+def test_traced_verify_matches_untraced_and_counts_every_layer(tmp_path):
+    argv = ["verify", "--max-degree", "4", "--max-h", "2", "--format", "json"]
+    stdout, aggregates = run_traced(tmp_path, argv)
+    assert len(stdout.splitlines()) == VERIFY_4_2_LINES
+    assert hashlib.sha256(stdout).hexdigest() == VERIFY_4_2_SHA256
+    for name in ("factor.factorize", "mersenne.enumerate_mersenne_primes", "gf2poly.mod", "verify.claim.lemma3.2"):
+        assert aggregates[name]["calls"] > 0, name
+
+
+def test_traced_search_matches_untraced_and_counts_the_divisors_layer(tmp_path):
+    argv = ["search", "--mode", "unitary", "--family", "mersenne", "--max-degree", "16", "--format", "json"]
+    untraced = subprocess.run([sys.executable, "-m", "gf2perfect", *argv], capture_output=True, env=env_with_src())
+    assert untraced.returncode == 0, untraced.stderr.decode()
+    stdout, aggregates = run_traced(tmp_path, argv)
+    assert stdout == untraced.stdout
+    for name in ("divisors.check", "divisors.is_indecomposable", "divisors.canonical_class_rep"):
         assert aggregates[name]["calls"] > 0, name

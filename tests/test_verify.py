@@ -26,6 +26,7 @@ from gf2perfect.verify import (
     failures,
     run_all,
 )
+from oracles import certify_verify_sweep
 
 CAT = catalog()
 M2 = MersennePrime(1, 2, CAT.lookup("M2"))
@@ -194,17 +195,25 @@ def test_run_all_sharded_by_sigma_power_match_serial():
 def test_run_all_splits_each_sigma_power_once(monkeypatch):
     # every check on sigma(M^n) reads the one split of its (M, n) instance
     calls = Counter()
-    split = verify.factorize_composed
+    split = verify.factor_sigma_prime_power
 
-    def counting(c, p):
-        calls[c.mask, p.mask] += 1
-        return split(c, p)
+    def counting(p, n):
+        calls[p.mask, n] += 1
+        return split(p, n)
 
-    monkeypatch.setattr(verify, "factorize_composed", counting)
+    monkeypatch.setattr(verify, "factor_sigma_prime_power", counting)
     _factorize_cached.cache_clear()
     verify._sigma_power.cache_clear()
     run_all(6, 12)
     assert calls and set(calls.values()) == {1}
+
+
+def test_verdicts_rest_on_certified_factorizations():
+    # every split the 6/30 sweep read multiplies back to its sum, and each
+    # of its primes passes Rabin's test, which shares no loop with factor
+    splits, nprimes, problems = certify_verify_sweep(6, 30)
+    assert problems == []
+    assert (splits, nprimes) == (279, 834)
 
 
 def test_run_all_degree_budget_bounds_mersenne_enumeration(monkeypatch):
