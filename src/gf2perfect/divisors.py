@@ -140,6 +140,19 @@ def is_indecomposable(a: Poly, mode: str = "perfect") -> bool:
     that are both perfect (or both unitary perfect, per mode).
 
     Searches all coprime splits obtained by grouping prime powers.
+
+    Every search hit gives True.  A (unitary) perfect A is divisible by x
+    iff by x+1, so a coprime split into two nonconstant (unitary) perfect
+    parts has one part coprime to x(x+1).  Perfect: if x | A but not x+1,
+    then A(1) = 1 and sigma(A)(1) = (a+1) prod (h+1) forces a and every
+    odd prime's h even, so sigma(A)(0) = prod (h+1) = 1 != A(0); the
+    converse is the image under x -> x+1.  Unitary (the paper's lemma
+    that unitary perfects are even): a prime P != x of A gives sigma*(A)
+    the factor 1 + P^h, which vanishes at 0, and x gives 1 + x^a, which
+    vanishes at 1, so x(x+1) | A unless A = 1.  So a unitary split is
+    impossible, and a perfect one needs an odd perfect polynomial, of
+    which none is known and the brute-force search finds none.  The
+    splits are still tried: they are the check.
     """
     if not check(a, mode).verdict:
         raise ValueError(f"input is not {mode} so indecomposability does not apply")

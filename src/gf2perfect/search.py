@@ -5,10 +5,11 @@ with every P_i a Mersenne prime.  Each part's divisor sum is factored
 once (divisors.factor_sigma_prime_power) and packed into one integer
 exponent vector over x, x+1 and the Mersenne primes in range; a part
 whose divisor sum has any other prime is dropped (that prime would
-divide the whole polynomial, so nothing is lost).  The enumeration then
-only adds and compares integers.  The brute-force search makes no
-assumption about which primes appear: it builds every mask's divisor sum
-by multiplicativity, prime by prime in a fixed order, so each mask is
+divide the whole polynomial, so nothing is lost).  A flat scan then
+reads each candidate's odd exponents off its packed divisor sum (see
+search_structured).  The brute-force search makes no assumption about
+which primes appear: it builds every mask's divisor sum by
+multiplicativity, prime by prime in a fixed order, so each mask is
 produced exactly once, and it tests sigma(A) = A literally: the low byte
 of every table entry is compared with the mask's own at once, and each
 match is confirmed in full.  Its products run on whole arrays at a time,
@@ -52,12 +53,11 @@ def _part_sigma_table(max_degree: int, mode: str):
     """Packed divisor sums for every admissible part.
 
     Each prime the search can use gets a fixed index: x is 0, x+1 is 1
-    and the i-th Mersenne prime of degree <= max_degree - 2, in
-    (-degree, mask) order, is i + 2.  A part's divisor sum is stored as
-    the single int sum(mult << width * index); no field can carry, since
-    every multiplicity is at most the candidate's degree, at most
-    max_degree.  A part whose divisor sum has a prime outside the index
-    is dropped: that prime would have to divide the hit.
+    and the i-th Mersenne prime of degree <= max_degree - 2 is i + 2.
+    A part's divisor sum is stored as the single int
+    sum(mult << width * index), with 2^width > 2 max_degree.  A part
+    whose divisor sum has a prime outside the index is dropped: that
+    prime would have to divide the hit.
 
     Returns (width, primes, x_parts, xp1_parts, prime_parts): the two
     linear tables map an exponent to its packed sum, and prime_parts[i]
@@ -66,8 +66,7 @@ def _part_sigma_table(max_degree: int, mode: str):
     unitary = mode == "unitary"
     primes = []
     if max_degree >= 4:  # smallest candidate with an odd part is x(x+1)M1
-        found = enumerate_mersenne_primes(max_degree - 2)
-        primes = sorted((m.poly for m in found), key=lambda p: (-p.degree, p.mask))
+        primes = [m.poly for m in enumerate_mersenne_primes(max_degree - 2)]
     width = max_degree.bit_length() + 1
     shift = {p: width * i for i, p in enumerate([X, XP1, *primes])}
 
@@ -91,53 +90,53 @@ def _part_sigma_table(max_degree: int, mode: str):
 def search_structured(max_degree: int, mode: str = "perfect") -> list[Poly]:
     """All (unitary) perfect polynomials of the Mersenne-restricted family, sorted.
 
-    A candidate x^a (x+1)^b * prod P_i^h_i is perfect iff the divisor
-    sums of its parts multiply out to the candidate's own prime multiset.
-    With both sides packed as exponent vectors (see _part_sigma_table)
-    a part is added with +, and the test is one integer comparison.  The
-    odd part's sums fix b from a through the (x+1) field, so each odd
-    part costs one probe per admissible a; a Poly is built only for a hit.
+    A candidate A = x^a (x+1)^b * prod P_i^h_i is perfect iff its parts'
+    packed divisor sums (see _part_sigma_table) add up to A's packed
+    exponents.  A part is special if its sum has an odd field; only the
+    x part, the x+1 part and special parts reach the odd fields, so each
+    choice of at most one special part per prime, with a and b, names
+    one candidate: their sums' odd fields, under a and b.
+
+    Complete: a hit's own special parts are a choice, and with them the
+    odd fields are its h_i.  Sound: the last comparison is sigma(A) = A.
+    No carry: every part added has degree <= max_degree - 2 and the
+    adding stops once the degree passes max_degree, so each field stays
+    <= 2 max_degree - 2 < 2^width.
     """
     _check_search_args(max_degree, mode)
     width, primes, x_parts, xp1_parts, prime_parts = _part_sigma_table(max_degree, mode)
-    field = (1 << width) - 1
+    field, odd = (1 << width) - 1, 2 * width
     degrees = [p.degree for p in primes]
-    x_probes = [(a, fx, fx >> width & field) for a, fx in x_parts.items()]
+    choices = [(0, 0)]  # (degree, packed sum)
+    for parts, d in zip(prime_parts, degrees):
+        special = [(h * d, s) for h, s in parts.items() if s >> odd]
+        choices += [(c + e, sums + s) for c, sums in choices for e, s in special if c + e <= max_degree - 2]
+    found = set()  # two choices can name one hit
+    for c, sums in choices:
+        for a, fx in x_parts.items():
+            for b, f1 in xp1_parts.items():
+                if c + a + b > max_degree:
+                    continue
+                want = (sums + fx + f1) >> odd << odd | b << width | a
+                total, degree, rest = fx + f1, a + b, want >> odd
+                while rest and degree <= max_degree:
+                    k = ((rest & -rest).bit_length() - 1) // width  # the lowest odd field left
+                    h = rest >> width * k & field
+                    rest ^= h << width * k
+                    if (s := prime_parts[k].get(h)) is None:
+                        break
+                    total, degree = total + s, degree + h * degrees[k]
+                else:
+                    if degree <= max_degree and total == want:
+                        found.add(want)
     hits = []
-
-    def hit(a, b, odd):
-        poly = XP1**b << a
-        for i, p in enumerate(primes):
-            h = odd >> width * (i + 2) & field
-            if h:
+    for want in found:
+        poly = XP1 ** (want >> width & field) << (want & field)
+        for k, p in enumerate(primes):
+            if h := want >> width * (k + 2) & field:
                 poly = poly * p**h
-        return poly
-
-    def extend(i, budget, sums, odd):
-        # budget is max_degree - 2 minus the odd part's degree
-        vx1 = sums >> width & field
-        # a hit has a >= the x field and b >= vx1, and extending only
-        # grows sums and shrinks budget: no hit below this node
-        if (sums & field) + vx1 > budget + 2:
-            return
-        for a, fx, fx_xp1 in x_probes:
-            b = vx1 + fx_xp1
-            f1 = xp1_parts.get(b)
-            if f1 is None or a + b > budget + 2:
-                continue
-            if sums + fx + f1 == odd + a + (b << width):
-                hits.append(hit(a, b, odd))
-        for j in range(i, len(primes)):
-            d = degrees[j]
-            if d > budget:
-                continue
-            for h, s in prime_parts[j].items():
-                if h * d <= budget:
-                    extend(j + 1, budget - h * d, sums + s, odd + (h << width * (j + 2)))
-
-    extend(0, max_degree - 2, 0, 0)
-    hits.sort()
-    return hits
+        hits.append(poly)
+    return sorted(hits)
 
 
 def _lane_product(lanes: int, c: int) -> int:

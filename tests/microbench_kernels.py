@@ -12,7 +12,7 @@ import random
 
 import pytest
 
-from gf2perfect.divisors import check
+from gf2perfect.divisors import canonical_class_rep, check
 from gf2perfect.factor import _factorize_cached, is_irreducible
 from gf2perfect.gf2poly import (
     _MUL_WINDOW_CUTOVER,
@@ -24,7 +24,7 @@ from gf2perfect.gf2poly import (
     _sqr_mask,
     _sqrt_mask,
 )
-from gf2perfect.search import _divisor_sum_tables, search_bruteforce
+from gf2perfect.search import _divisor_sum_tables, search_bruteforce, search_structured
 
 DEGREES = (64, 256, 1024)
 
@@ -53,6 +53,15 @@ def test_search_bruteforce_18(benchmark, mode, count):
     # the table plus the fixed-point scan, as the oracle-bruteforce workload runs it
     hits = benchmark(search_bruteforce, 18, mode)
     assert len(hits) == count and all(check(p, mode).verdict for p in hits)
+
+
+@pytest.mark.parametrize("mode, classes", [("perfect", 15), ("unitary", 10)])
+def test_search_structured_128(benchmark, mode, classes):
+    # the part table plus the scan; every hit is checked, and the count of
+    # distinct power-of-two classes pins the classification at this degree
+    hits = benchmark(search_structured, 128, mode)
+    assert all(check(p, mode).verdict for p in hits)
+    assert len({canonical_class_rep(p) if mode == "unitary" else p for p in hits}) == classes
 
 
 @pytest.mark.parametrize("degree", DEGREES)

@@ -7,7 +7,7 @@ from gf2perfect import search
 from gf2perfect.divisors import canonical_class_rep, check, is_indecomposable, sigma, sigma_star
 from gf2perfect.factor import count_irreducibles, factorize, is_irreducible
 from gf2perfect.gf2poly import X, XP1, BudgetError, Poly, parse
-from gf2perfect.mersenne import catalog, mersenne_form
+from gf2perfect.mersenne import catalog, enumerate_mersenne_primes, mersenne_form
 from gf2perfect.search import (
     _divisor_sum_tables,
     _part_sigma_table,
@@ -196,6 +196,124 @@ def test_packed_part_sums_decode():
                     assert {p: m for p, m in zip(index, fields) if m} == dict(factorize(divisor_sum(base**e)).factors)
 
 
+def search_by_recursion(max_degree, mode):
+    """The structured search as a pruned subset recursion, the scan's reference.
+
+    It mixes every admissible part of each prime in turn, carries the odd
+    part's exponents beside the sum of its parts' packed divisor sums, and
+    probes each x part a, which fixes b through the x+1 field.  A node is
+    pruned once its sums' x and x+1 fields alone need a + b above the
+    budget: extending only grows the sums and shrinks the budget.
+    """
+    width, primes, x_parts, xp1_parts, prime_parts = search._part_sigma_table(max_degree, mode)
+    field = (1 << width) - 1
+    x_probes = [(a, fx, fx >> width & field) for a, fx in x_parts.items()]
+    order = sorted(range(len(primes)), key=lambda k: -primes[k].degree)  # the large primes use up the budget soonest
+    hits = []
+
+    def extend(i, budget, sums, odd):
+        # budget is max_degree - 2 minus the odd part's degree
+        vx1 = sums >> width & field
+        if (sums & field) + vx1 > budget + 2:
+            return
+        for a, fx, fx_xp1 in x_probes:
+            b = vx1 + fx_xp1
+            f1 = xp1_parts.get(b)
+            if f1 is not None and a + b <= budget + 2 and sums + fx + f1 == odd + a + (b << width):
+                poly = XP1**b << a
+                for k, p in enumerate(primes):
+                    poly = poly * p ** (odd >> width * (k + 2) & field)
+                hits.append(poly)
+        for j in range(i, len(order)):
+            k, d = order[j], primes[order[j]].degree
+            if d > budget:
+                continue
+            for h, s in prime_parts[k].items():
+                if h * d <= budget:
+                    extend(j + 1, budget - h * d, sums + s, odd + (h << width * (k + 2)))
+
+    extend(0, max_degree - 2, 0, 0)
+    return sorted(hits)
+
+
+@pytest.mark.parametrize("mode", ["perfect", "unitary"])
+def test_scan_matches_the_recursion(mode):
+    for degree in [*range(1, 41), 56]:
+        assert search_structured(degree, mode) == search_by_recursion(degree, mode), degree
+
+
+SMALL_MERSENNE = [m.poly for m in enumerate_mersenne_primes(4)]  # x^2+x+1, two cubics, two quartics
+
+
+def test_scan_matches_the_recursion_on_synthetic_tables(monkeypatch):
+    # no hit of the real tables up to degree 200 uses a special part, so
+    # random tables with the real ones' invariants exercise the choices:
+    # each part's sum has the part's degree and no field at its own prime
+    pytest.importorskip("hypothesis")
+    from hypothesis import given, settings
+    from hypothesis import strategies as st
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=300)
+    @given(st.integers(4, 14), st.randoms(use_true_random=True))
+    def agree(max_degree, rng):
+        pool = [p for p in SMALL_MERSENNE if p.degree <= max_degree - 2]
+        primes = rng.sample(pool, rng.randint(0, len(pool)))
+        width = max_degree.bit_length() + 1
+        degree_of = [1, 1, *(p.degree for p in primes)]
+
+        def part_sum(own, degree, take):
+            # take(k, top) <= top is the odd field k; x and x+1 share the rest
+            fields = [0] * len(degree_of)
+            for k in range(2, len(fields)):
+                if k != own:
+                    fields[k] = take(k, degree // degree_of[k])
+                    degree -= fields[k] * degree_of[k]
+            fields[0] = 0 if own == 0 else degree if own == 1 else rng.randint(0, degree)
+            fields[1] = degree - fields[0]
+            return fields
+
+        def packed(fields):
+            return sum(f << width * k for k, f in enumerate(fields))
+
+        def table(own, top):
+            entries = (e for e in range(1, top + 1) if rng.random() < 0.75)
+            some = lambda k, top: rng.randint(0, top) if rng.random() < 0.5 else 0  # noqa: E731
+            return {e: packed(part_sum(own, e * degree_of[own], some)) for e in entries}
+
+        x_parts, xp1_parts = table(0, max_degree - 1), table(1, max_degree - 1)
+        prime_parts = [table(k, (max_degree - 2) // degree_of[k]) for k in range(2, len(degree_of))]
+        # plant a candidate x^a (x+1)^b prod P_k^h_k whose parts add up to it: each
+        # prime part takes what it can of the other primes' fields, the x and
+        # x+1 parts the rest, and the x+1 part's x field v balances the two
+        h = [0, 0, *(int(rng.random() < 0.5) for _ in primes)]
+        need, low = h.copy(), [0, 0]  # the odd fields still unmet; the x and x+1 fields so far
+        for k in range(2, len(h)):
+            if h[k]:
+                fields = part_sum(k, h[k] * degree_of[k], lambda j, top: min(need[j], top))
+                prime_parts[k - 2][h[k]] = packed(fields)
+                need = [n - f for n, f in zip(need, fields)]
+                low = [low[0] + fields[0], low[1] + fields[1]]
+        fx = [0, 0, *(rng.randint(0, n) for n in need[2:])]
+        f1 = [0, 0, *(n - f for n, f in zip(need[2:], fx[2:]))]
+        odd_x, odd_xp1 = (sum(f * d for f, d in zip(part, degree_of)) for part in (fx, f1))
+        v = max(0, odd_x - low[0], 1 - low[0], 1 - odd_xp1)
+        a, b = v + low[0], v + odd_xp1
+        planted = None
+        if a + b + sum(e * d for e, d in zip(h, degree_of)) <= max_degree:
+            x_parts[a] = packed([0, a - odd_x, *fx[2:]])
+            xp1_parts[b] = packed([v, 0, *f1[2:]])
+            planted = XP1**b << a
+            for p, e in zip(primes, h[2:]):
+                planted = planted * p**e
+        with monkeypatch.context() as patch:
+            patch.setattr(search, "_part_sigma_table", lambda *_: (width, primes, x_parts, xp1_parts, prime_parts))
+            hits = search_by_recursion(max_degree, "perfect")
+            assert planted is None or planted in hits
+            assert search_structured(max_degree, "perfect") == hits
+
+    agree()
+
+
 def test_classification_at_degree_40():
     def classes(mode):
         hits = search_structured(40, mode)
@@ -218,11 +336,45 @@ def test_classification_at_degree_40():
 
 @pytest.mark.parametrize("mode, degree, count", [("perfect", 60, 13), ("unitary", 48, 10)])
 def test_classification_beyond_degree_40(mode, degree, count):
-    # the same classes as at degree 40: the valuation bound loses none
+    # the same classes as at degree 40: no class has degree 41 to 60 (perfect) or 48 (unitary)
     report = classify_hits(search_structured(degree, mode), mode)
     assert len(report.classes) == count
     assert report.flagged == ()
     assert all(c.in_catalog or c.trivial for c in report.classes)
+
+
+@cache
+def structured_at_128(mode):
+    return search_structured(128, mode)
+
+
+def test_classification_at_degree_128():
+    perfect = classify_hits(structured_at_128("perfect"), "perfect")
+    trivial = {(X * XP1) ** (2**n - 1) for n in range(1, 7)}  # degree 2, 6, ..., 126
+    known = {CAT.lookup(f"T{i}") for i in range(1, 10)}
+    assert len(perfect.classes) == 15
+    assert {c.rep for c in perfect.classes} == trivial | known
+
+    unitary = classify_hits(structured_at_128("unitary"), "unitary")
+    known = {canonical_class_rep(CAT.lookup(f"B{i}")) for i in range(1, 10)}
+    assert len(unitary.classes) == 10
+    assert {c.rep for c in unitary.classes} == {X * XP1} | known
+
+    for mode, report in (("perfect", perfect), ("unitary", unitary)):
+        assert report.flagged == ()
+        assert all(c.in_catalog or c.trivial for c in report.classes)
+        assert all(check(p, mode).verdict for c in report.classes for p in c.members)
+
+
+@pytest.mark.parametrize("mode", ["perfect", "unitary"])
+def test_no_hit_splits_into_two_perfect_parts(mode):
+    # the premise of is_indecomposable's docstring: x divides a perfect A
+    # iff x+1 does, x(x+1) divides every unitary perfect A, and no hit
+    # is odd, so no coprime split has two (unitary) perfect parts
+    hits = set(bruteforce_at_20(mode)) | set(structured_at_128(mode))
+    for a in hits:
+        assert a.valuation(X) > 0 and a.valuation(XP1) > 0, a
+    assert all(not c.decomposable for c in classify_hits(sorted(hits), mode).classes)
 
 
 def indecomposable_by_definition(a, mode):
