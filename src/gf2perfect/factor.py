@@ -36,66 +36,52 @@ from .gf2poly import ONE, X, BudgetError, Poly, _divmod_mask, _gcd_mask, _mod_ma
 PRIMITIVITY_DEGREE_CAP = 64
 
 
-class Factorization:
+class Factorization(tuple):
     """Complete factorization: distinct irreducibles with multiplicities.
 
-    Factors are sorted by (degree, coefficient mask), which for the mask
-    representation is plain mask order.  Immutable, like Poly.
+    A tuple of (prime, multiplicity) pairs sorted by (degree, coefficient
+    mask), which for the mask representation is plain mask order.
+    Immutable, like Poly; as with the NamedTuple records, a Factorization
+    equals the plain tuple of the same pairs and hashes like it.
     """
 
-    __slots__ = ("factors",)
+    __slots__ = ()
 
-    def __init__(self, factors: tuple[tuple[Poly, int], ...]):
-        object.__setattr__(self, "factors", factors)
+    def __new__(cls, factors: tuple[tuple[Poly, int], ...]):
+        return super().__new__(cls, factors)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("Factorization is immutable")
-
-    def __eq__(self, other):
-        if not isinstance(other, Factorization):
-            return NotImplemented
-        return self.factors == other.factors
-
-    def __hash__(self):
-        return hash(self.factors)
-
-    def __reduce__(self):
-        return (Factorization, (self.factors,))
+    @property
+    def factors(self) -> tuple[tuple[Poly, int], ...]:
+        return tuple(self)
 
     def __repr__(self):
         return f"Factorization(factors={self.factors!r})"
 
-    def __iter__(self):
-        return iter(self.factors)
-
-    def __len__(self):
-        return len(self.factors)
-
     def primes(self) -> tuple[Poly, ...]:
-        return tuple(p for p, _ in self.factors)
+        return tuple(p for p, _ in self)
 
     def exponent_of(self, prime: Poly) -> int:
-        for p, m in self.factors:
+        for p, m in self:
             if p == prime:
                 return m
         return 0
 
     @property
     def is_squarefree(self) -> bool:
-        return all(m == 1 for _, m in self.factors)
+        return all(m == 1 for _, m in self)
 
     def reconstruct(self) -> Poly:
         out = ONE
-        for p, m in self.factors:
+        for p, m in self:
             out = out * p**m
         return out
 
     def to_json_obj(self):
-        return [{"prime": str(p), "mult": m} for p, m in self.factors]
+        return [{"prime": str(p), "mult": m} for p, m in self]
 
     def __str__(self):
         parts = []
-        for p, m in self.factors:
+        for p, m in self:
             text = str(p)
             if "+" in text:
                 text = f"({text})"
@@ -235,7 +221,7 @@ def factorize_composed(c: Poly, p: Poly) -> Factorization:
 
 def omega(p: Poly) -> int:
     """Number of distinct irreducible factors."""
-    return len(factorize(p).factors)
+    return len(factorize(p))
 
 
 def is_squarefree(p: Poly) -> bool:

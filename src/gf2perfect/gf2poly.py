@@ -387,7 +387,7 @@ def format_poly(p: Poly) -> str:
 
 
 _TOKEN = re.compile(
-    r"\s*(?:(?P<hex>0[xX][0-9a-fA-F]+)|(?P<int>\d+)|(?P<name>[A-Za-z][A-Za-z0-9_]*)"
+    r"\s*(?:(?P<hex>0[xX][0-9a-fA-F]+)|(?P<int>[0-9]+)|(?P<name>[A-Za-z][A-Za-z0-9_]*)"
     r"|(?P<op>[-+*^()]))"
 )
 

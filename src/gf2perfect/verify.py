@@ -371,32 +371,25 @@ def _run_group(tasks):
 
 
 def _task_groups(max_mersenne_degree: int, max_h: int, degree_budget: int):
-    # groups (weight, tasks): the checks that factor one sigma(M^2h) share a
-    # group, weighted by its degree 2h*deg(M), so one worker factors it once;
-    # each one-off checker is a group of weight 0.  Every instance has degree
-    # at least 2*deg(M), so primes past half the budget have none
-    groups = [(0, [("lemma3.7", ())]), (0, [("lemma3.20", ())]), (0, [("lemma3.9", ())])]
+    # one task list per one-off checker and one per Mersenne prime M.  A check
+    # on sigma(M^2h) also reads other sums of M (lemma3.4 reads sigma(M^(k-1))
+    # for k | 2h+1), and the splits of M's sums share their pieces q(M), so
+    # one worker holding all of M splits each sigma(M^n) once.  Every instance
+    # has degree at least 2*deg(M), so primes past half the budget have none
+    groups = [[("lemma3.7", ())], [("lemma3.20", ())], [("lemma3.9", ())]]
     max_degree = min(max_mersenne_degree, degree_budget // 2)
     for m in enumerate_mersenne_primes(max_degree) if max_degree >= 2 else ():
-        by_h = {1: [("cor3.28", (m,))]}
-        for p in DESK_MERSENNE_NUMBERS:
-            if (p - 1) * m.degree <= degree_budget:
-                by_h.setdefault((p - 1) // 2, []).append(("cor3.13", (m, p)))
-        for h in range(1, max_h + 1):
-            if 2 * h * m.degree > degree_budget:
-                break
-            tasks = by_h.setdefault(h, [])
-            tasks.append(("lemma3.2", (m, h)))
-            tasks.append(("thm1.2", (m, h)))
-            tasks.append(("cor3.6", (m, h)))
-            tasks.append(("lemma3.15", (m, h)))
+        tasks = [("cor3.28", (m,))]
+        tasks += [("cor3.13", (m, p)) for p in DESK_MERSENNE_NUMBERS if (p - 1) * m.degree <= degree_budget]
+        for h in range(1, min(max_h, degree_budget // (2 * m.degree)) + 1):
+            tasks += [(name, (m, h)) for name in ("lemma3.2", "thm1.2", "cor3.6", "lemma3.15")]
             if (m.a, m.b) == (1, 2):
                 tasks.append(("cor3.17", (m, h)))
             n = 2 * h + 1
             if _intmath.is_prime(n):
                 tasks.append(("lemma3.8", (m, h)))
             tasks += [("lemma3.4", (m, h, k)) for k in range(1, n + 1) if n % k == 0]
-        groups += [(2 * h * m.degree, tasks) for h, tasks in by_h.items()]
+        groups.append(tasks)
     return groups
 
 
@@ -420,18 +413,19 @@ def run_all(
     groups = _task_groups(max_mersenne_degree, max_h, degree_budget)
     if claim is not None:
         base = "thm1.2" if claim.startswith("thm1.2") else claim
-        groups = [(w, [t for t in tasks if t[0] == base]) for w, tasks in groups]
-        groups = [g for g in groups if g[1]]
+        groups = [[t for t in tasks if t[0] == base] for tasks in groups]
+        groups = [tasks for tasks in groups if tasks]
     # the pool starts every worker at once, so never ask for more than can run
     workers = min(jobs, len(groups), os.cpu_count() or 1)
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor  # a serial run never loads multiprocessing
 
-        groups.sort(key=lambda g: g[0], reverse=True)  # heaviest first
+        # enumerate_mersenne_primes yields M by degree, and a prime's checks
+        # cost more as its degree grows, so the last groups go first
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            reports = [r for rs in pool.map(_run_group, [tasks for _, tasks in groups]) for r in rs]
+            reports = [r for rs in pool.map(_run_group, reversed(groups)) for r in rs]
     else:
-        reports = [_run_task(t) for _, tasks in groups for t in tasks]
+        reports = [_run_task(t) for tasks in groups for t in tasks]
     if claim is not None and claim.startswith("thm1.2-"):
         reports = [r for r in reports if r.claim_id == claim]
     reports.sort(key=TheoremReport.sort_key)

@@ -74,8 +74,8 @@ def test_parse_degree_cap_exits_2(capsys):
 
 @pytest.mark.parametrize(
     "text",
-    ["x^" + "9" * 5000, "(" * 10_000 + "x" + ")" * 10_000],
-    ids=["long-exponent", "deep-nesting"],
+    ["x^" + "9" * 5000, "(" * 10_000 + "x" + ")" * 10_000, "x^\u0661\u0662", "x^" + "\u0660" * 6 + "3"],
+    ids=["long-exponent", "deep-nesting", "arabic-indic-digits", "arabic-indic-zeros"],
 )
 def test_parse_hostile_input_exits_2(capsys, text):
     code = main(["factor", text])

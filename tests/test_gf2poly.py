@@ -329,6 +329,11 @@ def test_parse_errors():
         with pytest.raises(ValueError):
             parse(bad)
     assert parse("(" * 100 + "x" + ")" * 100) == X
+    # digits are ASCII 0-9 only: Arabic-Indic twelve, and a long run of
+    # Arabic-Indic zeros before an ASCII 3, are refused as characters
+    for bad in ("x^\u0661\u0662", "x^" + "\u0660" * 6 + "3", "x+\u0661"):
+        with pytest.raises(ValueError, match="unexpected character"):
+            parse(bad)
 
 
 def test_parse_degree_cap():

@@ -184,16 +184,17 @@ def test_run_all_jobs_match_serial():
     assert [r.to_json() for r in serial] == [r.to_json() for r in parallel]
 
 
-def test_run_all_sharded_by_sigma_power_match_serial():
-    # cold caches, so the workers factor every sigma(M^2h) themselves
+def test_run_all_sharded_by_mersenne_prime_match_serial():
+    # cold caches, so the workers split every sigma(M^n) of their primes M
+    # themselves
     _factorize_cached.cache_clear()
     verify._sigma_power.cache_clear()
     parallel = run_all(6, 12, jobs=2)
     assert [r.to_json() for r in parallel] == [r.to_json() for r in run_all(6, 12)]
 
 
-def test_run_all_splits_each_sigma_power_once(monkeypatch):
-    # every check on sigma(M^n) reads the one split of its (M, n) instance
+def count_splits(monkeypatch):
+    # counts verify's calls of factor_sigma_prime_power by (M mask, n)
     calls = Counter()
     split = verify.factor_sigma_prime_power
 
@@ -202,6 +203,12 @@ def test_run_all_splits_each_sigma_power_once(monkeypatch):
         return split(p, n)
 
     monkeypatch.setattr(verify, "factor_sigma_prime_power", counting)
+    return calls
+
+
+def test_run_all_splits_each_sigma_power_once(monkeypatch):
+    # every check on sigma(M^n) reads the one split of its (M, n) instance
+    calls = count_splits(monkeypatch)
     _factorize_cached.cache_clear()
     verify._sigma_power.cache_clear()
     run_all(6, 12)
@@ -238,24 +245,27 @@ def test_run_all_degree_budget_bounds_mersenne_enumeration(monkeypatch):
     assert all(r.params.get("M", "x^2+x+1") == "x^2+x+1" for r in reports)
 
 
-def test_run_all_clamps_workers(monkeypatch):
-    # the pool forks every worker at once; a fake pool maps serially and
-    # records its size, so this test starts no process
+class SerialPool:
+    # stands in for ProcessPoolExecutor: it maps serially in this process, so
+    # a test of the pool path starts no process, and records each pool's size
     sizes = []
 
-    class SerialPool:
-        def __init__(self, max_workers):
-            sizes.append(max_workers)
+    def __init__(self, max_workers):
+        self.sizes.append(max_workers)
 
-        def __enter__(self):
-            return self
+    def __enter__(self):
+        return self
 
-        def __exit__(self, *exc):
-            return False
+    def __exit__(self, *exc):
+        return False
 
-        def map(self, fn, tasks, chunksize=1):
-            return map(fn, tasks)
+    def map(self, fn, groups, chunksize=1):
+        return map(fn, groups)
 
+
+def test_run_all_clamps_workers(monkeypatch):
+    # the pool forks every worker at once, so its size is clamped
+    monkeypatch.setattr(SerialPool, "sizes", [])
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
     monkeypatch.setattr(verify.os, "cpu_count", lambda: 4)
     serial = [r.to_json() for r in run_all(4, 2)]
@@ -264,7 +274,27 @@ def test_run_all_clamps_workers(monkeypatch):
     assert len(run_all(4, 2, jobs=5000, claim="lemma3.7")) == 1  # one task
     monkeypatch.setattr(verify.os, "cpu_count", lambda: None)
     assert [r.to_json() for r in run_all(4, 2, jobs=5000)] == serial
-    assert sizes == [4, 3]
+    assert SerialPool.sizes == [4, 3]
+
+
+def test_run_all_cold_workers_split_each_sigma_power_once(monkeypatch):
+    # each group starts on cleared caches, as in a freshly started worker;
+    # every sigma(M^n) must then be split by one group only, and the stream
+    # must be the serial one
+    serial = [r.to_json() for r in run_all(6, 12)]
+    run_group = verify._run_group
+
+    def cold(tasks):
+        verify._sigma_power.cache_clear()
+        _factorize_cached.cache_clear()
+        return run_group(tasks)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(verify.os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(verify, "_run_group", cold)
+    calls = count_splits(monkeypatch)
+    assert [r.to_json() for r in run_all(6, 12, jobs=2)] == serial
+    assert calls and set(calls.values()) == {1}
 
 
 def test_report_json_shape():
