@@ -43,9 +43,14 @@ class PerfectionReport(NamedTuple):
 
 
 def sigma_prime_power(prime: Poly, n: int, unitary: bool = False) -> Poly:
-    """sigma(prime^n), or sigma*(prime^n) = prime^n + 1 when unitary; n >= 1."""
+    """sigma(prime^n), or sigma*(prime^n) = prime^n + 1 when unitary; n >= 0.
+
+    prime^0 = 1 has the one divisor 1, so n = 0 gives 1 in both modes.
+    """
+    if n < 0:
+        raise ValueError(f"prime power exponent must be nonnegative, got {n}")
     if unitary:
-        return prime**n + ONE
+        return prime**n + ONE if n else ONE
     # 1 + P + ... + P^n as (P^(n+1) + 1) / (P + 1); exact by construction
     q, r = divmod(prime ** (n + 1) + ONE, prime + ONE)
     assert not r
@@ -54,7 +59,10 @@ def sigma_prime_power(prime: Poly, n: int, unitary: bool = False) -> Poly:
 
 def factor_sigma_prime_power(prime: Poly, n: int, unitary: bool = False) -> Factorization:
     """factorize(sigma_prime_power(prime, n, unitary)) for an irreducible prime, as
-    c(prime) with c = 1 + z + ... + z^n, or z^n + 1 when unitary (factorize_composed)."""
+    c(prime) with c = 1 + z + ... + z^n, or z^n + 1 when unitary (factorize_composed).
+    Both c are 1 at n = 0, whose split is empty."""
+    if n < 0:
+        raise ValueError(f"prime power exponent must be nonnegative, got {n}")
     c = Poly(1 << n | 1) if unitary else Poly((2 << n) - 1)
     return factorize_composed(c, prime)
 

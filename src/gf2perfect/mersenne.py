@@ -83,18 +83,24 @@ def enumerate_mersenne_primes(max_degree: int) -> list[MersennePrime]:
 
     Only coprime (a, b) pairs can be irreducible (a common factor makes
     1 + x^a (x+1)^b a proper power composition), so others are skipped.
+    x -> x+1 is a ring automorphism, which maps 1 + x^a (x+1)^b to
+    1 + x^b (x+1)^a, so the one is irreducible iff the other is: only
+    a <= b is tested, and each prime found brings its image.  The images
+    are put in place, not appended, since the structured search numbers
+    its primes in this order and verify runs its groups by it.
     """
     if max_degree < 2:
         raise ValueError("Mersenne primes have degree at least 2")
     found = []
     for degree in range(2, max_degree + 1):
-        for a in range(1, degree):
-            b = degree - a
-            if gcd(a, b) != 1:
-                continue
-            p = mersenne_poly(a, b)
-            if is_irreducible(p):
-                found.append(MersennePrime(a, b, p))
+        low = []
+        for a in range(1, degree // 2 + 1):
+            if gcd(a, degree - a) == 1 and is_irreducible(mersenne_poly(a, degree - a)):
+                low.append(a)
+        # an image's a is degree - a, which falls as a rises: reversed, the
+        # images follow the low half in order of a
+        for a in low + [degree - a for a in reversed(low) if 2 * a != degree]:
+            found.append(MersennePrime(a, degree - a, mersenne_poly(a, degree - a)))
     return found
 
 

@@ -64,12 +64,11 @@ def _m_params(m: MersennePrime, **extra):
 
 
 @lru_cache(maxsize=8192)
-def _sigma_power(m: MersennePrime, n: int):
-    # sigma(M^n) and its factorization, computed once per (M, n) for every
-    # check that reads them.  The sum comes from the closed form and the
-    # split piece by piece, two routes; a piece that recurs across n is
-    # answered from factorize's cache
-    return sigma_prime_power(m.poly, n), factor_sigma_prime_power(m.poly, n)
+def _split(m: MersennePrime, n: int):
+    # the split of sigma(M^n), made once per (M, n) for every check that
+    # reads it; a check that reads the sum takes it from the closed form, a
+    # second route.  A piece q(M) that recurs across n hits factorize's cache
+    return factor_sigma_prime_power(m.poly, n)
 
 
 def _classify_factors(fact):
@@ -88,7 +87,7 @@ def _delta_primes(n: int):
 
 def check_squarefree(m: MersennePrime, h: int) -> TheoremReport:
     """sigma(M^2h) has no repeated irreducible factor."""
-    _, fact = _sigma_power(m, 2 * h)
+    fact = _split(m, 2 * h)
     params = _m_params(m, h=h)
     verdict = "pass" if fact.is_squarefree else "fail"
     return TheoremReport("lemma3.2", params, verdict, {"multiplicities": [mu for _, mu in fact]})
@@ -106,7 +105,7 @@ def check_sigma_even_power(m: MersennePrime, h: int) -> TheoremReport:
     if h < 1:
         raise ValueError("h must be positive")
     cat = catalog()
-    _, fact = _sigma_power(m, 2 * h)
+    fact = _split(m, 2 * h)
     mers, other = _classify_factors(fact)
     params = _m_params(m, h=h)
     witness = {
@@ -137,7 +136,7 @@ def check_U_split_square(m: MersennePrime, h: int) -> TheoremReport:
     not Mersenne the premise fails; the report then records which of the
     conclusions concretely fail for this instance.
     """
-    _, fact = _sigma_power(m, 2 * h)
+    fact = _split(m, 2 * h)
     _, other = _classify_factors(fact)
     u2h = sigma_of_factored(fact)
     u = u2h.valuation(X)
@@ -162,8 +161,8 @@ def check_p_reduction(m: MersennePrime, h: int, k: int) -> TheoremReport:
     """For any divisor k of 2h+1, sigma(M^(k-1)) divides sigma(M^2h)."""
     if (2 * h + 1) % k:
         raise ValueError("k must divide 2h+1")
-    s, _ = _sigma_power(m, 2 * h)
-    small = _sigma_power(m, k - 1)[0]
+    s = sigma_prime_power(m.poly, 2 * h)
+    small = sigma_prime_power(m.poly, k - 1)
     params = _m_params(m, h=h, k=k)
     return TheoremReport("lemma3.4", params, "pass" if small.divides(s) else "fail")
 
@@ -171,7 +170,7 @@ def check_p_reduction(m: MersennePrime, h: int, k: int) -> TheoremReport:
 def check_alpha_ranges(m: MersennePrime, h: int) -> TheoremReport:
     """Top coefficients of sigma(M^2h) agree with M^2h over the first
     deg(M) positions and with M^2h + M^(2h-1) over the next deg(M)."""
-    s, _ = _sigma_power(m, 2 * h)
+    s = sigma_prime_power(m.poly, 2 * h)
     d = m.degree
     high = m.poly ** (2 * h)
     mixed = high + m.poly ** (2 * h - 1)
@@ -185,7 +184,7 @@ def check_alpha3_u2h(m: MersennePrime, h: int) -> TheoremReport:
     """alpha_3 of the double divisor sum equals 1 for M = x^3+x+1 when
     2h+1 is a prime other than 3, 5, 7; other instances are reported out
     of scope with the computed coefficient attached."""
-    _, fact = _sigma_power(m, 2 * h)
+    fact = _split(m, 2 * h)
     u2h = sigma_of_factored(fact)
     low = m.poly ** (2 * h - 1)
     witness = {
@@ -207,7 +206,7 @@ def check_alpha3_u2(m: MersennePrime) -> TheoremReport:
     the degree-4 catalog whose sigma(M^2) has at least three distinct
     prime factors."""
     cat = catalog()
-    s, fact = _sigma_power(m, 2)
+    s, fact = sigma_prime_power(m.poly, 2), _split(m, 2)
     u2 = sigma_of_factored(fact)
     witness = {
         "omega": len(fact),
@@ -235,7 +234,7 @@ def check_degree_m_divisors(m: MersennePrime, p: int) -> TheoremReport:
         raise ValueError(f"supported Mersenne prime numbers: {DESK_MERSENNE_NUMBERS}")
     r = (p + 1).bit_length() - 1
     cat = catalog()
-    s, fact = _sigma_power(m, p - 1)
+    s, fact = sigma_prime_power(m.poly, p - 1), _split(m, p - 1)
     missing = [str(q) for q in _irreducibles_of_degree(r) if q != m.poly and not q.divides(s)]
     forbidden = [
         str(q)
@@ -262,7 +261,7 @@ def check_order_divides_degrees(m: MersennePrime, h: int) -> TheoremReport:
     if not _intmath.is_prime(p):
         return TheoremReport("lemma3.8", params, "out_of_scope", {"p": p})
     o = _intmath.multiplicative_order(2, p)
-    _, fact = _sigma_power(m, 2 * h)
+    fact = _split(m, 2 * h)
     bad = [str(q) for q, _ in fact if int(q.degree) % o]
     return TheoremReport("lemma3.8", params, "fail" if bad else "pass", {"ord": o, "violations": bad})
 
@@ -338,7 +337,7 @@ def explore_alpha_u6(m: MersennePrime) -> list[tuple[int, int]]:
     Exploration only: the open question is whether some odd l always has
     alpha_l = 0 here.  Nothing is asserted.
     """
-    u6 = sigma_of_factored(_sigma_power(m, 6)[1])
+    u6 = sigma_of_factored(_split(m, 6))
     return [(l, u6.alpha(l)) for l in range(int(u6.degree) + 1)]
 
 
@@ -371,9 +370,9 @@ def _run_group(tasks):
 
 
 def _task_groups(max_mersenne_degree: int, max_h: int, degree_budget: int):
-    # one task list per one-off checker and one per Mersenne prime M.  A check
-    # on sigma(M^2h) also reads other sums of M (lemma3.4 reads sigma(M^(k-1))
-    # for k | 2h+1), and the splits of M's sums share their pieces q(M), so
+    # one task list per one-off checker and one per Mersenne prime M.  Checks
+    # on M share splits (cor3.28 and cor3.13 read sigma(M^2), sigma(M^6) and
+    # sigma(M^30), which h = 1, 3 and 15 read too) and their pieces q(M), so
     # one worker holding all of M splits each sigma(M^n) once.  Every instance
     # has degree at least 2*deg(M), so primes past half the budget have none
     groups = [[("lemma3.7", ())], [("lemma3.20", ())], [("lemma3.9", ())]]

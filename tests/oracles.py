@@ -7,16 +7,24 @@ modules; none of them is used by the package.  Run as a script,
     PYTHONPATH=src python tests/oracles.py MAX_DEGREE MAX_H
 
 it runs the verify sweep and certifies every factorization its verdicts
-read (certify_verify_sweep); it exits 1 on any failure.
+read (certify_verify_sweep); run as
+
+    PYTHONPATH=src python tests/oracles.py structured MAX_DEGREE MODE
+
+it certifies the structured search's part table instead
+(certify_structured_search).  Either exits 1 on any failure.
 """
 
 import sys
 from itertools import product
+from math import gcd as int_gcd
 
-from gf2perfect import verify
+from gf2perfect import search, verify
 from gf2perfect._intmath import prime_factors
+from gf2perfect.divisors import sigma_prime_power
 from gf2perfect.factor import factorize
 from gf2perfect.gf2poly import ONE, BudgetError, Poly, _gcd_mask, _reducer, _sqr_mask, gcd
+from gf2perfect.mersenne import enumerate_mersenne_primes, mersenne_poly
 
 #: sigma_oracle refuses inputs above this degree (divisor counts explode).
 ORACLE_DEGREE_CAP = 24
@@ -87,6 +95,18 @@ def rabin_irreducible(p: Poly) -> bool:
     return powers[n] == x and all(_gcd_mask(f, powers[n // q] ^ x) == 1 for q in prime_factors(n))
 
 
+def _certify_splits(splits) -> tuple[int, list[str]]:
+    # every split must multiply back to the closed-form sum it stands for,
+    # and every prime in it must pass rabin_irreducible
+    problems, primes = [], set()
+    for (p, n, unitary), fact in splits.items():
+        if fact.reconstruct() != sigma_prime_power(p, n, unitary):
+            problems.append(f"split of sigma{'*' if unitary else ''}(({p})^{n}) does not multiply back")
+        primes.update(q for q, _ in fact)
+    problems += [f"not irreducible: {q}" for q in sorted(primes) if not rabin_irreducible(q)]
+    return len(primes), problems
+
+
 def certify_verify_sweep(max_degree: int, max_h: int) -> tuple[int, int, list[str]]:
     """Run verify serially and certify each split of sigma(M^n) it read.
 
@@ -94,29 +114,65 @@ def certify_verify_sweep(max_degree: int, max_h: int) -> tuple[int, int, list[st
     pass rabin_irreducible.  Returns (splits, distinct primes, problems).
     """
     seen = {}
-    cached = verify._sigma_power
+    cached = verify._split
 
     def recording(m, n):
-        seen[m, n] = cached(m, n)
-        return seen[m, n]
+        seen[m.poly, n, False] = cached(m, n)
+        return seen[m.poly, n, False]
 
-    verify._sigma_power = recording
+    verify._split = recording
     try:
         reports = verify.run_all(max_degree, max_h)
     finally:
-        verify._sigma_power = cached
+        verify._split = cached
     problems = [f"verdict fail: {r.to_json()}" for r in verify.failures(reports)]
-    primes = set()
-    for (m, n), (s, fact) in seen.items():
-        if fact.reconstruct() != s:
-            problems.append(f"split of sigma(({m.poly})^{n}) does not multiply back")
-        primes.update(q for q, _ in fact)
-    problems += [f"not irreducible: {q}" for q in sorted(primes) if not rabin_irreducible(q)]
-    return len(seen), len(primes), problems
+    nprimes, split_problems = _certify_splits(seen)
+    return len(seen), nprimes, problems + split_problems
+
+
+def certify_structured_search(max_degree: int, mode: str) -> tuple[int, int, int, list[str]]:
+    """Certify the verdicts the structured search's part table rests on.
+
+    Rabin's test must accept exactly the Mersenne primes that
+    enumerate_mersenne_primes(max_degree - 2) lists, over every coprime
+    (a, b) with a + b <= max_degree - 2; and every split that
+    search._part_sigma_table reads must multiply back to its sum, with
+    every prime in it passing Rabin.  Returns (Mersenne primes, splits,
+    distinct primes, problems).
+    """
+    top = max_degree - 2
+    listed = {(m.a, m.b): m.poly for m in enumerate_mersenne_primes(top)}
+    problems = [f"listed with the wrong polynomial: {ab}" for ab, p in listed.items() if p != mersenne_poly(*ab)]
+    rabin = {
+        (a, d - a)
+        for d in range(2, top + 1)
+        for a in range(1, d)
+        if int_gcd(a, d - a) == 1 and rabin_irreducible(mersenne_poly(a, d - a))
+    }
+    problems += [f"irreducible but not listed: 1 + x^{a} (x+1)^{b}" for a, b in sorted(rabin - set(listed))]
+    problems += [f"listed but reducible: 1 + x^{a} (x+1)^{b}" for a, b in sorted(set(listed) - rabin)]
+    seen = {}
+    split = search.factor_sigma_prime_power
+
+    def recording(p, n, unitary):
+        seen[p, n, unitary] = split(p, n, unitary)
+        return seen[p, n, unitary]
+
+    search.factor_sigma_prime_power = recording
+    try:
+        search._part_sigma_table(max_degree, mode)
+    finally:
+        search.factor_sigma_prime_power = split
+    nprimes, split_problems = _certify_splits(seen)
+    return len(listed), len(seen), nprimes, problems + split_problems
 
 
 if __name__ == "__main__":
-    splits, nprimes, problems = certify_verify_sweep(int(sys.argv[1]), int(sys.argv[2]))
+    if sys.argv[1] == "structured":
+        nmersenne, splits, nprimes, problems = certify_structured_search(int(sys.argv[2]), sys.argv[3])
+        print(f"{nmersenne} Mersenne primes, ", end="")
+    else:
+        splits, nprimes, problems = certify_verify_sweep(int(sys.argv[1]), int(sys.argv[2]))
     print(f"{splits} splits, {nprimes} distinct primes, {len(problems)} problems")
     for problem in problems:
         print(problem)

@@ -6,6 +6,7 @@ from gf2perfect.divisors import (
     canonical_class_rep,
     check,
     exact_power,
+    factor_sigma_prime_power,
     is_indecomposable,
     is_perfect,
     is_unitary_perfect,
@@ -36,6 +37,19 @@ def test_sigma_closed_form_vs_horner():
         p = rng.choice(primes)
         n = rng.randrange(1, 9)
         assert sigma_prime_power(p, n) == _sigma_prime_power_naive(p, n)
+
+
+@pytest.mark.parametrize("unitary", [False, True])
+def test_prime_power_sum_is_its_split_from_exponent_0(unitary):
+    # prime^0 = 1 has the one divisor 1, so sigma and sigma* of it are 1 and
+    # its split is empty; a negative exponent is refused, naming it
+    for p in (X, XP1, parse("x^2+x+1"), parse("x^3+x+1")):
+        for n in range(9):
+            assert sigma_prime_power(p, n, unitary) == factor_sigma_prime_power(p, n, unitary).reconstruct()
+        assert sigma_prime_power(p, 0, unitary) == ONE
+        for fn in (sigma_prime_power, factor_sigma_prime_power):
+            with pytest.raises(ValueError, match="-1"):
+                fn(p, -1, unitary)
 
 
 def test_sigma_star_examples():

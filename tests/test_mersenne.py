@@ -1,4 +1,5 @@
 from collections import Counter
+from math import gcd
 
 import pytest
 
@@ -13,6 +14,7 @@ from gf2perfect.mersenne import (
     ord2,
     parse_named,
 )
+from oracles import rabin_irreducible
 
 CAT = catalog()
 
@@ -65,6 +67,19 @@ _CENSUS_100 = {
 
 def test_census_to_degree_100():
     assert Counter(m.degree for m in enumerate_mersenne_primes(100)) == _CENSUS_100
+
+
+def test_enumeration_is_the_exhaustive_rabin_list_in_order():
+    # every coprime (a, b) in (degree, a) order, each tested by Rabin's
+    # criterion, which shares no loop with factor; the enumeration tests
+    # only a <= b and takes (b, a) from the x -> x+1 symmetry
+    exhaustive = [
+        (a, d - a, mersenne_poly(a, d - a))
+        for d in range(2, 65)
+        for a in range(1, d)
+        if gcd(a, d - a) == 1 and rabin_irreducible(mersenne_poly(a, d - a))
+    ]
+    assert [(m.a, m.b, m.poly) for m in enumerate_mersenne_primes(64)] == exhaustive
 
 
 def test_enumeration_invariants():

@@ -15,6 +15,7 @@ from gf2perfect.search import (
     search_bruteforce,
     search_structured,
 )
+from oracles import certify_structured_search
 
 CAT = catalog()
 
@@ -234,6 +235,14 @@ def search_by_recursion(max_degree, mode):
 
     extend(0, max_degree - 2, 0, 0)
     return sorted(hits)
+
+
+@pytest.mark.parametrize("mode, nprimes", [("perfect", 365), ("unitary", 253)])
+def test_structured_route_rests_on_certified_verdicts(mode, nprimes):
+    # Rabin's test, which shares no loop with factor, accepts exactly the
+    # 145 enumerated Mersenne primes of degree <= 62, and every prime of the
+    # 557 splits the degree-64 part table reads
+    assert certify_structured_search(64, mode) == (145, 557, nprimes, [])
 
 
 @pytest.mark.parametrize("mode", ["perfect", "unitary"])

@@ -188,7 +188,7 @@ def test_run_all_sharded_by_mersenne_prime_match_serial():
     # cold caches, so the workers split every sigma(M^n) of their primes M
     # themselves
     _factorize_cached.cache_clear()
-    verify._sigma_power.cache_clear()
+    verify._split.cache_clear()
     parallel = run_all(6, 12, jobs=2)
     assert [r.to_json() for r in parallel] == [r.to_json() for r in run_all(6, 12)]
 
@@ -210,17 +210,28 @@ def test_run_all_splits_each_sigma_power_once(monkeypatch):
     # every check on sigma(M^n) reads the one split of its (M, n) instance
     calls = count_splits(monkeypatch)
     _factorize_cached.cache_clear()
-    verify._sigma_power.cache_clear()
+    verify._split.cache_clear()
     run_all(6, 12)
     assert calls and set(calls.values()) == {1}
 
 
+@pytest.mark.parametrize("claim", ["lemma3.4", "lemma3.15"])
+def test_claims_on_the_sum_alone_split_nothing(monkeypatch, claim):
+    # lemma3.4 and lemma3.15 read sigma(M^n) alone, from the closed form
+    calls = count_splits(monkeypatch)
+    verify._split.cache_clear()
+    reports = run_all(6, 30, claim=claim)
+    assert reports and {r.claim_id for r in reports} == {claim}
+    assert not calls
+
+
 def test_verdicts_rest_on_certified_factorizations():
     # every split the 6/30 sweep read multiplies back to its sum, and each
-    # of its primes passes Rabin's test, which shares no loop with factor
+    # of its primes passes Rabin's test, which shares no loop with factor;
+    # lemma3.4 reads sums only, so no sigma(M^0) is among the splits
     splits, nprimes, problems = certify_verify_sweep(6, 30)
     assert problems == []
-    assert (splits, nprimes) == (279, 834)
+    assert (splits, nprimes) == (270, 834)
 
 
 def test_run_all_degree_budget_bounds_mersenne_enumeration(monkeypatch):
@@ -285,7 +296,7 @@ def test_run_all_cold_workers_split_each_sigma_power_once(monkeypatch):
     run_group = verify._run_group
 
     def cold(tasks):
-        verify._sigma_power.cache_clear()
+        verify._split.cache_clear()
         _factorize_cached.cache_clear()
         return run_group(tasks)
 
