@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import json
 import os
-from functools import lru_cache
 from itertools import islice
 from typing import NamedTuple
 
@@ -63,14 +62,6 @@ def _m_params(m: MersennePrime, **extra):
     return {"M": str(m.poly), "a": m.a, "b": m.b, **extra}
 
 
-@lru_cache(maxsize=8192)
-def _split(m: MersennePrime, n: int):
-    # the split of sigma(M^n), made once per (M, n) for every check that
-    # reads it; a check that reads the sum takes it from the closed form, a
-    # second route.  A piece q(M) that recurs across n hits factorize's cache
-    return factor_sigma_prime_power(m.poly, n)
-
-
 def _classify_factors(fact):
     mers, other = [], []
     for p, _ in fact:
@@ -87,7 +78,7 @@ def _delta_primes(n: int):
 
 def check_squarefree(m: MersennePrime, h: int) -> TheoremReport:
     """sigma(M^2h) has no repeated irreducible factor."""
-    fact = _split(m, 2 * h)
+    fact = factor_sigma_prime_power(m.poly, 2 * h)
     params = _m_params(m, h=h)
     verdict = "pass" if fact.is_squarefree else "fail"
     return TheoremReport("lemma3.2", params, verdict, {"multiplicities": [mu for _, mu in fact]})
@@ -105,7 +96,7 @@ def check_sigma_even_power(m: MersennePrime, h: int) -> TheoremReport:
     if h < 1:
         raise ValueError("h must be positive")
     cat = catalog()
-    fact = _split(m, 2 * h)
+    fact = factor_sigma_prime_power(m.poly, 2 * h)
     mers, other = _classify_factors(fact)
     params = _m_params(m, h=h)
     witness = {
@@ -136,7 +127,7 @@ def check_U_split_square(m: MersennePrime, h: int) -> TheoremReport:
     not Mersenne the premise fails; the report then records which of the
     conclusions concretely fail for this instance.
     """
-    fact = _split(m, 2 * h)
+    fact = factor_sigma_prime_power(m.poly, 2 * h)
     _, other = _classify_factors(fact)
     u2h = sigma_of_factored(fact)
     u = u2h.valuation(X)
@@ -184,7 +175,7 @@ def check_alpha3_u2h(m: MersennePrime, h: int) -> TheoremReport:
     """alpha_3 of the double divisor sum equals 1 for M = x^3+x+1 when
     2h+1 is a prime other than 3, 5, 7; other instances are reported out
     of scope with the computed coefficient attached."""
-    fact = _split(m, 2 * h)
+    fact = factor_sigma_prime_power(m.poly, 2 * h)
     u2h = sigma_of_factored(fact)
     low = m.poly ** (2 * h - 1)
     witness = {
@@ -206,7 +197,7 @@ def check_alpha3_u2(m: MersennePrime) -> TheoremReport:
     the degree-4 catalog whose sigma(M^2) has at least three distinct
     prime factors."""
     cat = catalog()
-    s, fact = sigma_prime_power(m.poly, 2), _split(m, 2)
+    s, fact = sigma_prime_power(m.poly, 2), factor_sigma_prime_power(m.poly, 2)
     u2 = sigma_of_factored(fact)
     witness = {
         "omega": len(fact),
@@ -234,7 +225,7 @@ def check_degree_m_divisors(m: MersennePrime, p: int) -> TheoremReport:
         raise ValueError(f"supported Mersenne prime numbers: {DESK_MERSENNE_NUMBERS}")
     r = (p + 1).bit_length() - 1
     cat = catalog()
-    s, fact = sigma_prime_power(m.poly, p - 1), _split(m, p - 1)
+    s, fact = sigma_prime_power(m.poly, p - 1), factor_sigma_prime_power(m.poly, p - 1)
     missing = [str(q) for q in _irreducibles_of_degree(r) if q != m.poly and not q.divides(s)]
     forbidden = [
         str(q)
@@ -261,7 +252,7 @@ def check_order_divides_degrees(m: MersennePrime, h: int) -> TheoremReport:
     if not _intmath.is_prime(p):
         return TheoremReport("lemma3.8", params, "out_of_scope", {"p": p})
     o = _intmath.multiplicative_order(2, p)
-    fact = _split(m, 2 * h)
+    fact = factor_sigma_prime_power(m.poly, 2 * h)
     bad = [str(q) for q, _ in fact if int(q.degree) % o]
     return TheoremReport("lemma3.8", params, "fail" if bad else "pass", {"ord": o, "violations": bad})
 
@@ -337,7 +328,7 @@ def explore_alpha_u6(m: MersennePrime) -> list[tuple[int, int]]:
     Exploration only: the open question is whether some odd l always has
     alpha_l = 0 here.  Nothing is asserted.
     """
-    u6 = sigma_of_factored(_split(m, 6))
+    u6 = sigma_of_factored(factor_sigma_prime_power(m.poly, 6))
     return [(l, u6.alpha(l)) for l in range(int(u6.degree) + 1)]
 
 
@@ -370,11 +361,12 @@ def _run_group(tasks):
 
 
 def _task_groups(max_mersenne_degree: int, max_h: int, degree_budget: int):
-    # one task list per one-off checker and one per Mersenne prime M.  Checks
-    # on M share splits (cor3.28 and cor3.13 read sigma(M^2), sigma(M^6) and
-    # sigma(M^30), which h = 1, 3 and 15 read too) and their pieces q(M), so
-    # one worker holding all of M splits each sigma(M^n) once.  Every instance
-    # has degree at least 2*deg(M), so primes past half the budget have none
+    # one task list per one-off checker and one per Mersenne prime M.  Every
+    # check on M that reads a split of sigma(M^n) makes it afresh, and the
+    # split's pieces q(M) recur across checks and n, so one worker holding all
+    # of M finds each q(M) in its factorize cache and factors it once.  Every
+    # instance has degree at least 2*deg(M), so primes past half the budget
+    # have none
     groups = [[("lemma3.7", ())], [("lemma3.20", ())], [("lemma3.9", ())]]
     max_degree = min(max_mersenne_degree, degree_budget // 2)
     for m in enumerate_mersenne_primes(max_degree) if max_degree >= 2 else ():

@@ -111,20 +111,21 @@ def certify_verify_sweep(max_degree: int, max_h: int) -> tuple[int, int, list[st
     """Run verify serially and certify each split of sigma(M^n) it read.
 
     Every split must multiply back to its sum, and every prime in it must
-    pass rabin_irreducible.  Returns (splits, distinct primes, problems).
+    pass rabin_irreducible.  Returns (distinct (M, n) split, distinct
+    primes, problems).
     """
     seen = {}
-    cached = verify._split
+    split = verify.factor_sigma_prime_power
 
-    def recording(m, n):
-        seen[m.poly, n, False] = cached(m, n)
-        return seen[m.poly, n, False]
+    def recording(p, n):
+        seen[p, n, False] = split(p, n)
+        return seen[p, n, False]
 
-    verify._split = recording
+    verify.factor_sigma_prime_power = recording
     try:
         reports = verify.run_all(max_degree, max_h)
     finally:
-        verify._split = cached
+        verify.factor_sigma_prime_power = split
     problems = [f"verdict fail: {r.to_json()}" for r in verify.failures(reports)]
     nprimes, split_problems = _certify_splits(seen)
     return len(seen), nprimes, problems + split_problems

@@ -1,12 +1,12 @@
 import concurrent.futures
 import json
 from collections import Counter
+from functools import lru_cache
 
 import pytest
 
-from gf2perfect import verify
+from gf2perfect import factor, verify
 from gf2perfect.divisors import sigma
-from gf2perfect.factor import _factorize_cached
 from gf2perfect.gf2poly import parse
 from gf2perfect.mersenne import MersennePrime, catalog, enumerate_mersenne_primes
 from gf2perfect.verify import (
@@ -185,10 +185,9 @@ def test_run_all_jobs_match_serial():
 
 
 def test_run_all_sharded_by_mersenne_prime_match_serial():
-    # cold caches, so the workers split every sigma(M^n) of their primes M
+    # a cold cache, so the workers factor every piece q(M) of their primes M
     # themselves
-    _factorize_cached.cache_clear()
-    verify._split.cache_clear()
+    factor._factorize_cached.cache_clear()
     parallel = run_all(6, 12, jobs=2)
     assert [r.to_json() for r in parallel] == [r.to_json() for r in run_all(6, 12)]
 
@@ -206,20 +205,22 @@ def count_splits(monkeypatch):
     return calls
 
 
-def test_run_all_splits_each_sigma_power_once(monkeypatch):
-    # every check on sigma(M^n) reads the one split of its (M, n) instance
-    calls = count_splits(monkeypatch)
-    _factorize_cached.cache_clear()
-    verify._split.cache_clear()
+def test_run_all_factors_each_piece_once(monkeypatch):
+    # checks split sigma(M^n) again wherever they read it, and each piece of
+    # a repeated split comes from factorize's cache: the sweep factors 219
+    # distinct masks, the pieces q(M) and the c = 1 + z + ... + z^n, once each
+    splits = count_splits(monkeypatch)
+    factor._factorize_cached.cache_clear()
     run_all(6, 12)
-    assert calls and set(calls.values()) == {1}
+    info = factor._factorize_cached.cache_info()
+    assert info.misses == info.currsize == 219
+    assert max(splits.values()) > 1
 
 
 @pytest.mark.parametrize("claim", ["lemma3.4", "lemma3.15"])
 def test_claims_on_the_sum_alone_split_nothing(monkeypatch, claim):
     # lemma3.4 and lemma3.15 read sigma(M^n) alone, from the closed form
     calls = count_splits(monkeypatch)
-    verify._split.cache_clear()
     reports = run_all(6, 30, claim=claim)
     assert reports and {r.claim_id for r in reports} == {claim}
     assert not calls
@@ -288,24 +289,37 @@ def test_run_all_clamps_workers(monkeypatch):
     assert SerialPool.sizes == [4, 3]
 
 
-def test_run_all_cold_workers_split_each_sigma_power_once(monkeypatch):
-    # each group starts on cleared caches, as in a freshly started worker;
-    # every sigma(M^n) must then be split by one group only, and the stream
-    # must be the serial one
+def test_run_all_cold_workers_factor_each_piece_once(monkeypatch):
+    # each group starts on a cleared cache, as in a freshly started worker;
+    # no piece q(M) may then be factored by two groups, and the stream must
+    # be the serial one.  Only the c = 1 + z + ... + z^n, all-ones masks,
+    # recur, since each worker factors them for itself
     serial = [r.to_json() for r in run_all(6, 12)]
     run_group = verify._run_group
+    calls, groups = Counter(), Counter()
+    factor_mask = factor._factorize_cached.__wrapped__
+
+    def counting(mask):
+        calls[mask] += 1
+        return factor_mask(mask)
 
     def cold(tasks):
-        verify._split.cache_clear()
-        _factorize_cached.cache_clear()
-        return run_group(tasks)
+        factor._factorize_cached.cache_clear()
+        calls.clear()
+        reports = run_group(tasks)
+        assert set(calls.values()) <= {1}
+        groups.update(calls)
+        return reports
 
+    # a cache of factorize's size over a counting body, which a hit never reaches
+    monkeypatch.setattr(factor, "_factorize_cached", lru_cache(maxsize=8192)(counting))
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
     monkeypatch.setattr(verify.os, "cpu_count", lambda: 2)
     monkeypatch.setattr(verify, "_run_group", cold)
-    calls = count_splits(monkeypatch)
     assert [r.to_json() for r in run_all(6, 12, jobs=2)] == serial
-    assert calls and set(calls.values()) == {1}
+    repeated = [mask for mask, k in groups.items() if k > 1]
+    assert repeated and all(mask & mask + 1 == 0 for mask in repeated)
+    assert len(groups) > len(repeated)
 
 
 def test_report_json_shape():
