@@ -21,10 +21,10 @@ q(p)^e, and each q(p) is usually far smaller than c(p).  The divisor
 sums sigma(P^n) = (1 + z + ... + z^n)(P) and sigma*(P^n) = (z^n + 1)(P)
 of an irreducible P reach factorize only as these pieces, split by
 divisors.factor_sigma_prime_power for search and verify, neither of
-which keeps a split.  factorize's cache, the only one here, factors each
-piece once per process, whether it recurs across verify's checks on one
-sigma(M^n) or across n (z^2 + z + 1 divides 1 + z + ... + z^2h whenever
-3 | 2h + 1).
+which caches a split.  verify splits each sigma(M^n) once and hands the
+split to every check on it, so a piece recurs only across n (z^2 + z + 1
+divides 1 + z + ... + z^2h whenever 3 | 2h + 1); factorize's cache, the
+only one here, factors it once per process.
 """
 
 from __future__ import annotations

@@ -16,13 +16,14 @@ from __future__ import annotations
 
 import json
 import os
-from itertools import islice
+from collections import Counter
+from itertools import chain, islice
 from typing import NamedTuple
 
 from . import _intmath
 from ._intmath import euler_phi
 from .divisors import factor_sigma_prime_power, sigma_of_factored, sigma_prime_power
-from .factor import count_irreducibles, is_irreducible, is_primitive
+from .factor import Factorization, count_irreducibles, is_irreducible, is_primitive
 from .gf2poly import X, XP1, Poly
 from .mersenne import MersennePrime, catalog, enumerate_mersenne_primes, in_delta, mersenne_form, mersenne_poly
 
@@ -63,28 +64,39 @@ def _m_params(m: MersennePrime, **extra):
 
 
 def _classify_factors(fact):
-    mers, other = [], []
-    for p, _ in fact:
-        if p == X or p == XP1 or mersenne_form(p) is not None:
-            mers.append(p)
-        else:
-            other.append(p)
-    return mers, other
+    mers = [p for p, _ in fact if p == X or p == XP1 or mersenne_form(p) is not None]
+    return mers, [p for p, _ in fact if p not in mers]
 
 
 def _delta_primes(n: int):
     return [q for q in _intmath.prime_factors(n) if q != 2 and in_delta(q)]
 
 
-def check_squarefree(m: MersennePrime, h: int) -> TheoremReport:
+class SigmaRecord(NamedTuple):
+    """sigma(M^2h) for a Mersenne prime M: closed-form sum s, split fact (None if unread)."""
+
+    m: MersennePrime
+    h: int
+    s: Poly
+    fact: Factorization | None
+
+
+def sigma_record(m: MersennePrime, h: int, *, split: bool = True) -> SigmaRecord:
+    """The record of sigma(M^2h) for h >= 1, split only when split is true."""
+    if h < 1:
+        raise ValueError("h must be positive")
+    n = 2 * h
+    return SigmaRecord(m, h, sigma_prime_power(m.poly, n), factor_sigma_prime_power(m.poly, n) if split else None)
+
+
+def check_squarefree(rec: SigmaRecord) -> TheoremReport:
     """sigma(M^2h) has no repeated irreducible factor."""
-    fact = factor_sigma_prime_power(m.poly, 2 * h)
-    params = _m_params(m, h=h)
-    verdict = "pass" if fact.is_squarefree else "fail"
-    return TheoremReport("lemma3.2", params, verdict, {"multiplicities": [mu for _, mu in fact]})
+    params = _m_params(rec.m, h=rec.h)
+    verdict = "pass" if rec.fact.is_squarefree else "fail"
+    return TheoremReport("lemma3.2", params, verdict, {"multiplicities": [mu for _, mu in rec.fact]})
 
 
-def check_sigma_even_power(m: MersennePrime, h: int) -> TheoremReport:
+def check_sigma_even_power(rec: SigmaRecord) -> TheoremReport:
     """sigma(M^2h) is divisible by a non-Mersenne prime, inside hypotheses.
 
     Case (i): M one of the five small Mersenne primes, excluding h = 1
@@ -93,10 +105,7 @@ def check_sigma_even_power(m: MersennePrime, h: int) -> TheoremReport:
     order of 2 divisible by 8.  Other instances are out of scope and
     report their factor classification.
     """
-    if h < 1:
-        raise ValueError("h must be positive")
-    cat = catalog()
-    fact = factor_sigma_prime_power(m.poly, 2 * h)
+    m, h, fact = rec.m, rec.h, rec.fact
     mers, other = _classify_factors(fact)
     params = _m_params(m, h=h)
     witness = {
@@ -106,7 +115,7 @@ def check_sigma_even_power(m: MersennePrime, h: int) -> TheoremReport:
     }
     if not fact.is_squarefree:
         return TheoremReport("thm1.2", params, "fail", witness)
-    if m.poly in cat.mersennes:
+    if m.poly in catalog().mersennes:
         claim = "thm1.2-i"
         cubic = (m.a, m.b) in ((1, 2), (2, 1))
         applicable = not cubic or h >= 2
@@ -120,14 +129,14 @@ def check_sigma_even_power(m: MersennePrime, h: int) -> TheoremReport:
     return TheoremReport(claim, params, "pass" if other else "fail", witness)
 
 
-def check_U_split_square(m: MersennePrime, h: int) -> TheoremReport:
+def check_U_split_square(rec: SigmaRecord) -> TheoremReport:
     """When sigma(M^2h) has only Mersenne prime factors, the double
     divisor sum U = sigma(sigma(M^2h)) must split as x^u (x+1)^v with u
     and v even, and sigma(M^2h) must be reducible.  When some factor is
     not Mersenne the premise fails; the report then records which of the
     conclusions concretely fail for this instance.
     """
-    fact = factor_sigma_prime_power(m.poly, 2 * h)
+    fact = rec.fact
     _, other = _classify_factors(fact)
     u2h = sigma_of_factored(fact)
     u = u2h.valuation(X)
@@ -141,27 +150,25 @@ def check_U_split_square(m: MersennePrime, h: int) -> TheoremReport:
         "reducible": len(fact) > 1,
         "non_mersenne_factors": [str(p) for p in other],
     }
-    params = _m_params(m, h=h)
+    params = _m_params(rec.m, h=rec.h)
     if other:
         return TheoremReport("cor3.6", params, "out_of_scope", witness)
     ok = splits and u % 2 == 0 and v % 2 == 0 and u2h.is_square() and len(fact) > 1
     return TheoremReport("cor3.6", params, "pass" if ok else "fail", witness)
 
 
-def check_p_reduction(m: MersennePrime, h: int, k: int) -> TheoremReport:
-    """For any divisor k of 2h+1, sigma(M^(k-1)) divides sigma(M^2h)."""
-    if (2 * h + 1) % k:
-        raise ValueError("k must divide 2h+1")
-    s = sigma_prime_power(m.poly, 2 * h)
-    small = sigma_prime_power(m.poly, k - 1)
-    params = _m_params(m, h=h, k=k)
-    return TheoremReport("lemma3.4", params, "pass" if small.divides(s) else "fail")
+def check_p_reduction(rec: SigmaRecord) -> list[TheoremReport]:
+    """For every divisor k of 2h+1, sigma(M^(k-1)) divides sigma(M^2h); one report per k."""
+    n, m = 2 * rec.h + 1, rec.m
+    ks = [k for k in range(1, n + 1) if n % k == 0]
+    verdicts = ["pass" if sigma_prime_power(m.poly, k - 1).divides(rec.s) else "fail" for k in ks]
+    return [TheoremReport("lemma3.4", _m_params(m, h=rec.h, k=k), v) for k, v in zip(ks, verdicts)]
 
 
-def check_alpha_ranges(m: MersennePrime, h: int) -> TheoremReport:
+def check_alpha_ranges(rec: SigmaRecord) -> TheoremReport:
     """Top coefficients of sigma(M^2h) agree with M^2h over the first
     deg(M) positions and with M^2h + M^(2h-1) over the next deg(M)."""
-    s = sigma_prime_power(m.poly, 2 * h)
+    m, h, s = rec.m, rec.h, rec.s
     d = m.degree
     high = m.poly ** (2 * h)
     mixed = high + m.poly ** (2 * h - 1)
@@ -171,18 +178,14 @@ def check_alpha_ranges(m: MersennePrime, h: int) -> TheoremReport:
     return TheoremReport("lemma3.15", params, "fail" if bad else "pass", {"mismatched_l": bad})
 
 
-def check_alpha3_u2h(m: MersennePrime, h: int) -> TheoremReport:
+def check_alpha3_u2h(rec: SigmaRecord) -> TheoremReport:
     """alpha_3 of the double divisor sum equals 1 for M = x^3+x+1 when
     2h+1 is a prime other than 3, 5, 7; other instances are reported out
     of scope with the computed coefficient attached."""
-    fact = factor_sigma_prime_power(m.poly, 2 * h)
-    u2h = sigma_of_factored(fact)
+    m, h = rec.m, rec.h
+    u2h = sigma_of_factored(rec.fact)
     low = m.poly ** (2 * h - 1)
-    witness = {
-        "alpha3_U": u2h.alpha(3),
-        "alpha3_M_low": low.alpha(3),
-        "alpha1_M_low": low.alpha(1),
-    }
+    witness = {"alpha3_U": u2h.alpha(3), "alpha3_M_low": low.alpha(3), "alpha1_M_low": low.alpha(1)}
     params = _m_params(m, h=h)
     p = 2 * h + 1
     applicable = (m.a, m.b) == (1, 2) and _intmath.is_prime(p) and p not in (3, 5, 7)
@@ -192,12 +195,12 @@ def check_alpha3_u2h(m: MersennePrime, h: int) -> TheoremReport:
     return TheoremReport("cor3.17", params, "pass" if ok else "fail", witness)
 
 
-def check_alpha3_u2(m: MersennePrime) -> TheoremReport:
+def check_alpha3_u2(rec: SigmaRecord) -> TheoremReport:
     """alpha_3(sigma(sigma(M^2))) equals 1 for Mersenne primes outside
     the degree-4 catalog whose sigma(M^2) has at least three distinct
-    prime factors."""
+    prime factors; reads the record at h = 1."""
     cat = catalog()
-    s, fact = sigma_prime_power(m.poly, 2), factor_sigma_prime_power(m.poly, 2)
+    m, s, fact = rec.m, rec.s, rec.fact
     u2 = sigma_of_factored(fact)
     witness = {
         "omega": len(fact),
@@ -216,16 +219,16 @@ def _irreducibles_of_degree(r: int):
     return [Poly(mask) for mask in range(1 << r, 1 << (r + 1)) if is_irreducible(Poly(mask))]
 
 
-def check_degree_m_divisors(m: MersennePrime, p: int) -> TheoremReport:
-    """Divisibility pattern of sigma(M^(p-1)) for a Mersenne number p = 2^r - 1:
-    every irreducible of degree r other than M divides it, no irreducible
-    whose degree r' has 2^r' - 1 prime != p divides it, and the three small
-    Mersenne primes divide it exactly per the (M, p) rule."""
+def check_degree_m_divisors(rec: SigmaRecord) -> TheoremReport:
+    """Divisibility pattern of sigma(M^(p-1)) (the record at h = (p-1)/2) for a
+    Mersenne number p = 2^r - 1: every irreducible of degree r other than M
+    divides it, no irreducible whose degree r' has 2^r' - 1 prime != p divides
+    it, and the small Mersenne primes divide it exactly per the (M, p) rule."""
+    m, p, s, fact = rec.m, 2 * rec.h + 1, rec.s, rec.fact
     if p not in DESK_MERSENNE_NUMBERS:
         raise ValueError(f"supported Mersenne prime numbers: {DESK_MERSENNE_NUMBERS}")
     r = (p + 1).bit_length() - 1
     cat = catalog()
-    s, fact = sigma_prime_power(m.poly, p - 1), factor_sigma_prime_power(m.poly, p - 1)
     missing = [str(q) for q in _irreducibles_of_degree(r) if q != m.poly and not q.divides(s)]
     forbidden = [
         str(q)
@@ -244,16 +247,15 @@ def check_degree_m_divisors(m: MersennePrime, p: int) -> TheoremReport:
     return TheoremReport("cor3.13", params, "pass" if ok else "fail", witness)
 
 
-def check_order_divides_degrees(m: MersennePrime, h: int) -> TheoremReport:
+def check_order_divides_degrees(rec: SigmaRecord) -> TheoremReport:
     """For prime p = 2h+1, ord_p(2) divides the degree of every prime
     factor of sigma(M^2h)."""
-    p = 2 * h + 1
-    params = _m_params(m, h=h)
+    p = 2 * rec.h + 1
+    params = _m_params(rec.m, h=rec.h)
     if not _intmath.is_prime(p):
         return TheoremReport("lemma3.8", params, "out_of_scope", {"p": p})
     o = _intmath.multiplicative_order(2, p)
-    fact = factor_sigma_prime_power(m.poly, 2 * h)
-    bad = [str(q) for q, _ in fact if int(q.degree) % o]
+    bad = [str(q) for q, _ in rec.fact if int(q.degree) % o]
     return TheoremReport("lemma3.8", params, "fail" if bad else "pass", {"ord": o, "violations": bad})
 
 
@@ -272,9 +274,7 @@ def check_counting() -> TheoremReport:
     Mersenne primes per degree by the totient."""
     max_m = _COUNTING_MAX_M
     bad = []
-    mers_by_degree = {}
-    for mp in enumerate_mersenne_primes(max_m):
-        mers_by_degree[mp.degree] = mers_by_degree.get(mp.degree, 0) + 1
+    mers_by_degree = Counter(mp.degree for mp in enumerate_mersenne_primes(max_m))
     for m in range(1, max_m + 1):
         n2 = count_irreducibles(m)
         if sum(d * count_irreducibles(d) for d in range(1, m + 1) if m % d == 0) != 1 << m:
@@ -283,7 +283,7 @@ def check_counting() -> TheoremReport:
             bad.append(f"totient bound at {m}")
         if m >= 4 and not _exceeds_isqrt_bound(n2, m):
             bad.append(f"lower bound at {m}")
-        if mers_by_degree.get(m, 0) > euler_phi(m):
+        if mers_by_degree[m] > euler_phi(m):
             bad.append(f"mersenne count at {m}")
     pinned = (count_irreducibles(4), count_irreducibles(5), euler_phi(4), euler_phi(5))
     if pinned != (3, 6, 2, 4):
@@ -294,12 +294,8 @@ def check_counting() -> TheoremReport:
 
 def check_no_mersenne_degree_multiple_8() -> TheoremReport:
     """No Mersenne prime exists in degree 8, 16 or 24."""
-    found = []
-    for d in _MULTIPLE_8_DEGREES:
-        for a in range(1, d):
-            p = mersenne_poly(a, d - a)
-            if is_irreducible(p):
-                found.append(str(p))
+    candidates = (mersenne_poly(a, d - a) for d in _MULTIPLE_8_DEGREES for a in range(1, d))
+    found = [str(p) for p in candidates if is_irreducible(p)]
     params = {"degrees": list(_MULTIPLE_8_DEGREES)}
     return TheoremReport("lemma3.20", params, "fail" if found else "pass", {"found": found})
 
@@ -309,15 +305,10 @@ def check_primitivity() -> TheoremReport:
     exhaustive for r = 2, 3, 5, 7, and at degree 13 for the first
     _PRIMITIVE_SAMPLES irreducibles in increasing mask order."""
     sampled_degree = _PRIMITIVE_SAMPLED_DEGREE
-    bad = []
-    for r in _PRIMITIVE_EXHAUSTIVE_DEGREES:
-        for q in _irreducibles_of_degree(r):
-            if not is_primitive(q):
-                bad.append(str(q))
+    exhaustive = [q for r in _PRIMITIVE_EXHAUSTIVE_DEGREES for q in _irreducibles_of_degree(r)]
     odd_masks = range((1 << sampled_degree) | 1, 2 << sampled_degree, 2)
-    for q in islice(filter(is_irreducible, map(Poly, odd_masks)), _PRIMITIVE_SAMPLES):
-        if not is_primitive(q):
-            bad.append(str(q))
+    sampled = islice(filter(is_irreducible, map(Poly, odd_masks)), _PRIMITIVE_SAMPLES)
+    bad = [str(q) for q in chain(exhaustive, sampled) if not is_primitive(q)]
     params = {"exhaustive": list(_PRIMITIVE_EXHAUSTIVE_DEGREES), "sampled_degree": sampled_degree}
     return TheoremReport("lemma3.9", params, "fail" if bad else "pass", {"violations": bad})
 
@@ -328,7 +319,7 @@ def explore_alpha_u6(m: MersennePrime) -> list[tuple[int, int]]:
     Exploration only: the open question is whether some odd l always has
     alpha_l = 0 here.  Nothing is asserted.
     """
-    u6 = sigma_of_factored(factor_sigma_prime_power(m.poly, 6))
+    u6 = sigma_of_factored(sigma_record(m, 3).fact)
     return [(l, u6.alpha(l)) for l in range(int(u6.degree) + 1)]
 
 
@@ -351,37 +342,45 @@ _CHECKERS = {
 CLAIM_IDS = tuple(sorted(_CHECKERS))
 
 
-def _run_task(task):
-    name, args = task
-    return _CHECKERS[name](*args)
+def _run_group(units):
+    # a unit (M, h, names) runs the checks in names on one record of sigma(M^2h),
+    # split unless they all read the sum alone; lemma3.4 reports once per k
+    reports = []
+    for m, h, names in units:
+        rec = sigma_record(m, h, split=not {"lemma3.4", "lemma3.15"}.issuperset(names))
+        for name in names:
+            r = _CHECKERS[name](rec)
+            reports += r if isinstance(r, list) else [r]
+    return reports
 
 
-def _run_group(tasks):
-    return [_run_task(t) for t in tasks]
-
-
-def _task_groups(max_mersenne_degree: int, max_h: int, degree_budget: int):
-    # one task list per one-off checker and one per Mersenne prime M.  Every
-    # check on M that reads a split of sigma(M^n) makes it afresh, and the
-    # split's pieces q(M) recur across checks and n, so one worker holding all
-    # of M finds each q(M) in its factorize cache and factors it once.  Every
-    # instance has degree at least 2*deg(M), so primes past half the budget
-    # have none
-    groups = [[("lemma3.7", ())], [("lemma3.20", ())], [("lemma3.9", ())]]
+def _task_groups(max_mersenne_degree: int, max_h: int, degree_budget: int, claim: str | None):
+    # one group per Mersenne prime M, and in it one unit (M, h, names) per
+    # record sigma(M^2h) that the checks claim selects read: h = 1..max_h for
+    # the per-h checks, 1 for cor3.28 and (p-1)/2 for cor3.13, which may lie
+    # past max_h.  A record's pieces q(M) recur across h, so one worker holds
+    # all of M.  Every instance has degree at least 2*deg(M), so primes past
+    # half the budget have none
+    groups = []
     max_degree = min(max_mersenne_degree, degree_budget // 2)
     for m in enumerate_mersenne_primes(max_degree) if max_degree >= 2 else ():
-        tasks = [("cor3.28", (m,))]
-        tasks += [("cor3.13", (m, p)) for p in DESK_MERSENNE_NUMBERS if (p - 1) * m.degree <= degree_budget]
-        for h in range(1, min(max_h, degree_budget // (2 * m.degree)) + 1):
-            tasks += [(name, (m, h)) for name in ("lemma3.2", "thm1.2", "cor3.6", "lemma3.15")]
-            if (m.a, m.b) == (1, 2):
-                tasks.append(("cor3.17", (m, h)))
-            n = 2 * h + 1
-            if _intmath.is_prime(n):
-                tasks.append(("lemma3.8", (m, h)))
-            tasks += [("lemma3.4", (m, h, k)) for k in range(1, n + 1) if n % k == 0]
-        groups.append(tasks)
-    return groups
+        top = degree_budget // (2 * m.degree)
+        desk_h = [(p - 1) // 2 for p in DESK_MERSENNE_NUMBERS if p - 1 <= 2 * top]
+        units = []
+        for h in sorted(set(desk_h).union(range(1, min(max_h, top) + 1))):
+            per_h = h <= max_h
+            reads = {
+                **dict.fromkeys(("lemma3.2", "thm1.2", "cor3.6", "lemma3.15", "lemma3.4"), per_h),
+                "cor3.17": per_h and (m.a, m.b) == (1, 2),
+                "lemma3.8": per_h and _intmath.is_prime(2 * h + 1),
+                "cor3.28": h == 1,
+                "cor3.13": h in desk_h,
+            }
+            names = tuple(name for name, read in reads.items() if read and claim in (None, name))
+            if names:
+                units.append((m, h, names))
+        groups.append(units)
+    return [units for units in groups if units]
 
 
 def run_all(
@@ -397,15 +396,14 @@ def run_all(
         raise ValueError(f"jobs must be at least 1, got {jobs}")
     if degree_budget < 1:
         raise ValueError(f"degree budget must be at least 1, got {degree_budget}")
-    if max_mersenne_degree < 2 or max_h < 1:
-        return []
     if claim is not None and claim not in CLAIM_IDS and claim not in ("thm1.2-i", "thm1.2-ii"):
         raise ValueError(f"unknown claim {claim!r}; known: {', '.join(CLAIM_IDS)}")
-    groups = _task_groups(max_mersenne_degree, max_h, degree_budget)
-    if claim is not None:
-        base = "thm1.2" if claim.startswith("thm1.2") else claim
-        groups = [[t for t in tasks if t[0] == base] for tasks in groups]
-        groups = [tasks for tasks in groups if tasks]
+    if max_mersenne_degree < 2 or max_h < 1:
+        return []
+    base = "thm1.2" if claim in ("thm1.2-i", "thm1.2-ii") else claim
+    # the one-off checkers take a few milliseconds, so they run here
+    reports = [_CHECKERS[name]() for name in ("lemma3.7", "lemma3.20", "lemma3.9") if base in (None, name)]
+    groups = _task_groups(max_mersenne_degree, max_h, degree_budget, base)
     # the pool starts every worker at once, so never ask for more than can run
     workers = min(jobs, len(groups), os.cpu_count() or 1)
     if workers > 1:
@@ -414,10 +412,10 @@ def run_all(
         # enumerate_mersenne_primes yields M by degree, and a prime's checks
         # cost more as its degree grows, so the last groups go first
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            reports = [r for rs in pool.map(_run_group, reversed(groups)) for r in rs]
+            reports += [r for rs in pool.map(_run_group, reversed(groups)) for r in rs]
     else:
-        reports = [_run_task(t) for tasks in groups for t in tasks]
-    if claim is not None and claim.startswith("thm1.2-"):
+        reports += [r for units in groups for r in _run_group(units)]
+    if base != claim:
         reports = [r for r in reports if r.claim_id == claim]
     reports.sort(key=TheoremReport.sort_key)
     return reports

@@ -123,6 +123,16 @@ def test_verify_json_digest(capsys):
     assert hashlib.sha256(out.encode()).hexdigest() == VERIFY_4_2_SHA256
 
 
+def test_verify_json_digest_with_cor3_13_past_max_h(capsys):
+    # at max-h 5, cor3.13 at p = 31 reads sigma(M^30), the record at h = 15,
+    # which no per-h check reads; the stream is pinned from before the checks
+    # shared one record per sigma(M^2h)
+    code, out = run_cli(capsys, "verify", "--max-degree", "8", "--max-h", "5", "--format", "json")
+    assert code == 0
+    assert len(out.splitlines()) == 515
+    assert hashlib.sha256(out.encode()).hexdigest() == "d0a683ae2480051f0eeaf9569e97889e8c0816fa9d2aa7659ccfe3bea6c3c1ce"
+
+
 #: sha256 and line count of `search ... --format json` stdout, pinned so
 #: that a refactor of either search route cannot change a byte of it
 SEARCH_DIGESTS = [
@@ -180,6 +190,15 @@ def test_verify_checking_nothing_exits_2(capsys, argv):
     assert code == 2
     assert captured.out == ""
     assert captured.err.startswith("error:") and "Traceback" not in captured.err
+
+
+def test_verify_unknown_claim_exits_2_on_an_empty_sweep(capsys):
+    # the claim is checked before an empty grid ends the sweep
+    code = main(["verify", "--max-h", "0", "--claim", "nope"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: unknown claim 'nope'")
 
 
 def test_search_json(capsys):

@@ -12,7 +12,7 @@ import gf2perfect
 from gf2perfect.factor import Factorization, factorize
 from gf2perfect.gf2poly import X, XP1, parse
 from gf2perfect.mersenne import catalog
-from gf2perfect.verify import TheoremReport
+from gf2perfect.verify import TheoremReport, sigma_record
 
 
 def test_cli_import_does_not_load_dataclasses():
@@ -30,10 +30,11 @@ RECORDS = [
     (lambda: factorize(parse("x^3+x")), "factors"),
     (lambda: catalog().mersenne_witness(catalog().lookup("M2")), "a"),
     (lambda: TheoremReport("lemma3.2", {"M": "x^2+x+1"}, "pass"), "verdict"),
+    (lambda: sigma_record(catalog().mersenne_witness(catalog().lookup("M2")), 1), "fact"),
 ]
 
 
-@pytest.mark.parametrize("build, field", RECORDS, ids=["Factorization", "MersennePrime", "TheoremReport"])
+@pytest.mark.parametrize("build, field", RECORDS, ids=["Factorization", "MersennePrime", "TheoremReport", "SigmaRecord"])
 def test_records_are_immutable(build, field):
     record = build()
     with pytest.raises(AttributeError):

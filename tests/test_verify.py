@@ -25,6 +25,7 @@ from gf2perfect.verify import (
     check_U_split_square,
     failures,
     run_all,
+    sigma_record,
 )
 from oracles import certify_verify_sweep
 
@@ -38,15 +39,15 @@ def find_mersenne(a, b):
 
 
 def test_sigma_even_power_m2_cases():
-    r = check_sigma_even_power(M2, 2)
+    r = check_sigma_even_power(sigma_record(M2, 2))
     assert r.claim_id == "thm1.2-i" and r.verdict == "pass"
     assert r.witness["non_mersenne_factors"]  # sigma(M2^4) is non-Mersenne
 
-    r = check_sigma_even_power(M2, 4)
+    r = check_sigma_even_power(sigma_record(M2, 4))
     assert r.verdict == "pass"
     assert "x^6+x+1" in r.witness["non_mersenne_factors"]
 
-    r = check_sigma_even_power(M2, 1)
+    r = check_sigma_even_power(sigma_record(M2, 1))
     assert r.verdict == "out_of_scope"
     assert sorted(r.witness["mersenne_factors"]) == ["x^2+x+1", "x^4+x^3+1"]
     assert not r.witness["non_mersenne_factors"]
@@ -54,66 +55,73 @@ def test_sigma_even_power_m2_cases():
 
 def test_sigma_even_power_case_ii():
     m = find_mersenne(2, 3)  # degree 5, outside the small catalog
-    r = check_sigma_even_power(m, 1)  # 2h+1 = 3 is in the delta set
+    r = check_sigma_even_power(sigma_record(m, 1))  # 2h+1 = 3 is in the delta set
     assert r.claim_id == "thm1.2-ii" and r.verdict == "pass"
     assert r.witness["delta_primes"] == [3]
-    r = check_sigma_even_power(m, 2)  # 2h+1 = 5: no delta prime
+    r = check_sigma_even_power(sigma_record(m, 2))  # 2h+1 = 5: no delta prime
     assert r.verdict == "out_of_scope"
 
 
 def test_squarefree():
     for h in (1, 2, 3, 7):
-        assert check_squarefree(M2, h).verdict == "pass"
+        assert check_squarefree(sigma_record(M2, h)).verdict == "pass"
 
 
 def test_u_split_square():
-    r = check_U_split_square(M2, 1)
+    r = check_U_split_square(sigma_record(M2, 1))
     assert r.verdict == "pass"
     assert r.witness["u"] == 4 and r.witness["v"] == 2
 
-    r = check_U_split_square(M2, 3)  # U_6 is a square but does not split
+    r = check_U_split_square(sigma_record(M2, 3))  # U_6 is a square but does not split
     assert r.verdict == "out_of_scope"
     assert r.witness["square"] is True
     assert r.witness["splits"] is False
 
-    r = check_U_split_square(M2, 2)  # sigma(M2^4) irreducible: U_4 not square
+    r = check_U_split_square(sigma_record(M2, 2))  # sigma(M2^4) irreducible: U_4 not square
     assert r.verdict == "out_of_scope"
     assert r.witness["square"] is False
     assert r.witness["reducible"] is False
 
 
 def test_p_reduction():
-    r = check_p_reduction(M2, 4, 3)  # 2h+1 = 9, k = 3
-    assert r.verdict == "pass"
+    # one report per divisor k of 2h+1 = 9, all from the one sum
+    reports = check_p_reduction(sigma_record(M2, 4, split=False))
+    assert [r.params["k"] for r in reports] == [1, 3, 9]
+    assert all(r.verdict == "pass" for r in reports)
     assert sigma(M2.poly**2).divides(sigma(M2.poly**8))
-    assert check_p_reduction(M2, 4, 1).verdict == "pass"
-    assert check_p_reduction(M2, 4, 9).verdict == "pass"
-    with pytest.raises(ValueError):
-        check_p_reduction(M2, 4, 2)
+
+
+def test_sigma_record():
+    for h in (0, -1):
+        with pytest.raises(ValueError, match="h must be positive"):
+            sigma_record(M2, h)
+    rec = sigma_record(M2, 2, split=False)
+    assert rec.fact is None and rec.s == sigma(M2.poly**4)
+    assert sigma_record(M2, 2).fact.reconstruct() == rec.s
 
 
 def test_alpha_ranges():
     for m in (M2, M3, find_mersenne(2, 3)):
         for h in (1, 2, 5):
-            assert check_alpha_ranges(m, h).verdict == "pass"
-    assert check_alpha_ranges(M2, 5).params == {"M": "x^3+x+1", "a": 1, "b": 2, "h": 5}
+            assert check_alpha_ranges(sigma_record(m, h)).verdict == "pass"
+    assert check_alpha_ranges(sigma_record(M2, 5)).params == {"M": "x^3+x+1", "a": 1, "b": 2, "h": 5}
 
 
 def test_alpha3_u2h():
     for p in (11, 13, 17, 19):
-        r = check_alpha3_u2h(M2, (p - 1) // 2)
+        r = check_alpha3_u2h(sigma_record(M2, (p - 1) // 2))
         assert r.verdict == "pass"
         assert r.witness["alpha3_M_low"] == 1 and r.witness["alpha1_M_low"] == 0
-    assert check_alpha3_u2h(M2, 1).verdict == "out_of_scope"  # 2h+1 = 3
-    assert check_alpha3_u2h(M2, 4).verdict == "out_of_scope"  # 2h+1 = 9 composite
-    assert check_alpha3_u2h(M3, 5).verdict == "out_of_scope"  # wrong prime
+    assert check_alpha3_u2h(sigma_record(M2, 1)).verdict == "out_of_scope"  # 2h+1 = 3
+    assert check_alpha3_u2h(sigma_record(M2, 4)).verdict == "out_of_scope"  # 2h+1 = 9 composite
+    assert check_alpha3_u2h(sigma_record(M3, 5)).verdict == "out_of_scope"  # wrong prime
 
 
 def test_alpha3_u2():
     # degree-7 Mersenne primes have omega(sigma(M^2)) = 3
     hits = 0
     for m in enumerate_mersenne_primes(8):
-        r = check_alpha3_u2(m)
+        r = check_alpha3_u2(sigma_record(m, 1))
         if r.verdict == "pass":
             hits += 1
             assert r.witness["omega"] >= 3
@@ -124,19 +132,19 @@ def test_alpha3_u2():
 
 
 def test_degree_m_divisors():
-    r = check_degree_m_divisors(M3, 3)
-    assert r.verdict == "pass"
+    r = check_degree_m_divisors(sigma_record(M3, 1))  # p = 3
+    assert r.verdict == "pass" and r.params["p"] == 3
     assert CAT.lookup("M1").divides(sigma(M3.poly**2))
     for m in enumerate_mersenne_primes(5):
         for p in (3, 7, 31):
-            assert check_degree_m_divisors(MersennePrime(m.a, m.b, m.poly), p).verdict == "pass"
+            assert check_degree_m_divisors(sigma_record(m, (p - 1) // 2)).verdict == "pass"
     with pytest.raises(ValueError):
-        check_degree_m_divisors(M3, 127)
+        check_degree_m_divisors(sigma_record(M3, 63, split=False))  # p = 127
 
 
 def test_order_divides_degrees():
-    assert check_order_divides_degrees(M2, 5).verdict == "pass"  # p = 11
-    assert check_order_divides_degrees(M2, 4).verdict == "out_of_scope"  # 9
+    assert check_order_divides_degrees(sigma_record(M2, 5)).verdict == "pass"  # p = 11
+    assert check_order_divides_degrees(sigma_record(M2, 4)).verdict == "out_of_scope"  # 9
 
 
 def test_global_claims():
@@ -170,6 +178,22 @@ def test_run_all_claim_filter():
     assert all(r.claim_id == "thm1.2-ii" for r in reports)
     with pytest.raises(ValueError):
         run_all(4, 2, claim="nope")
+    with pytest.raises(ValueError):
+        run_all(1, 0, claim="nope")  # checked before an empty sweep returns
+
+
+@pytest.fixture(scope="module")
+def sweep_6_12():
+    return run_all(6, 12)
+
+
+@pytest.mark.parametrize("claim", [*CLAIM_IDS, "thm1.2-i", "thm1.2-ii"])
+def test_claim_filter_selects_exactly_its_instances(sweep_6_12, claim):
+    # the filter picks which records are formed and split, so it must keep
+    # every instance of the claim and no other; thm1.2 covers both cases
+    expected = [r for r in sweep_6_12 if r.claim_id == claim or claim == "thm1.2" and r.claim_id.startswith(claim)]
+    assert expected
+    assert run_all(6, 12, claim=claim) == expected
 
 
 @pytest.mark.parametrize("kwargs", [{"jobs": 0}, {"jobs": -1}, {"degree_budget": 0}, {"degree_budget": -5}])
@@ -206,15 +230,18 @@ def count_splits(monkeypatch):
 
 
 def test_run_all_factors_each_piece_once(monkeypatch):
-    # checks split sigma(M^n) again wherever they read it, and each piece of
-    # a repeated split comes from factorize's cache: the sweep factors 219
-    # distinct masks, the pieces q(M) and the c = 1 + z + ... + z^n, once each
-    splits = count_splits(monkeypatch)
+    # the sweep factors 219 distinct masks, the pieces q(M) and the
+    # c = 1 + z + ... + z^n, once each
     factor._factorize_cached.cache_clear()
     run_all(6, 12)
     info = factor._factorize_cached.cache_info()
     assert info.misses == info.currsize == 219
-    assert max(splits.values()) > 1
+    # every check on sigma(M^n) reads one record, so each (M, n) is split
+    # once: the 270 that certify_verify_sweep(6, 30) certifies
+    splits = count_splits(monkeypatch)
+    factor._factorize_cached.cache_clear()
+    run_all(6, 30)
+    assert len(splits) == 270 and set(splits.values()) == {1}
 
 
 @pytest.mark.parametrize("claim", ["lemma3.4", "lemma3.15"])
@@ -323,7 +350,7 @@ def test_run_all_cold_workers_factor_each_piece_once(monkeypatch):
 
 
 def test_report_json_shape():
-    r = check_sigma_even_power(M2, 1)
+    r = check_sigma_even_power(sigma_record(M2, 1))
     obj = json.loads(r.to_json())
     assert set(obj) == {"claim", "params", "verdict", "witness"}
     assert obj["params"]["h"] == 1
