@@ -11,11 +11,11 @@ The zero polynomial is the integer 0 and its degree is the distinct
 sentinel ``NEG_INFINITY`` (never -1), so degree laws such as
 deg(p*q) = deg(p) + deg(q) stay testable.
 
-Multiplication uses a windowed carry-less kernel when both operands are
-dense and a schoolbook shift-XOR loop otherwise; both produce bit-identical
-results.  Squaring moves bit i to bit 2i, so it reads a's binary digits
-as base-4 digits with the interpreter's own conversions, and the square
-root reads hex digits back as base-4 ones; neither keeps a table.
+Multiplication is one carry-less kernel: a shifted copy of one operand
+per set bit of the other, the sparser.  Squaring moves bit i to bit 2i,
+so it reads a's binary digits as base-4 digits with the interpreter's
+own conversions, and the square root reads hex digits back as base-4
+ones; neither keeps a table.
 Repeated reduction modulo one f (the factoring loops square and reduce
 many times per modulus) goes through _reducer: from a cutover degree on
 it builds the 256 multiples of f once and clears eight bits a step;
@@ -29,11 +29,6 @@ from __future__ import annotations
 import re
 
 NEG_INFINITY = float("-inf")
-
-#: Set bits of the sparser operand above which multiplication switches
-#: from the schoolbook loop (one shift-XOR a set bit) to the windowed kernel
-#: (a fixed 256-entry table, then one XOR a byte).
-_MUL_WINDOW_CUTOVER = 96
 
 #: Modulus degree from which _reducer reduces with a byte table of multiples
 #: of the modulus instead of one bit a step.
@@ -66,46 +61,16 @@ def _sqrt_mask(a):
     return int(hex(a)[2:].translate(_HALVE_HEX), 4)
 
 
-def _mul_schoolbook(a, b):
-    # one shifted copy of b per set bit of a
+def _mul_mask(a, b):
+    # one shifted copy of b per set bit of a, the sparser operand
+    if a.bit_count() > b.bit_count():
+        a, b = b, a
     acc = 0
     while a:
         low = a & -a
         acc ^= b * low  # low is a power of two, so this is a shift
         a ^= low
     return acc
-
-
-def _byte_multiples(a):
-    # a * i for every byte i, by doubling: entry i is the XOR of a << j over the bits j of i
-    table = [0]
-    for _ in range(8):
-        table += [t ^ a for t in table]
-        a <<= 1
-    return table
-
-
-def _mul_windowed(a, b):
-    # precompute all 8-bit multiples of the longer operand, then scan the
-    # shorter one byte at a time
-    if a.bit_length() < b.bit_length():
-        a, b = b, a
-    table = _byte_multiples(a)
-    acc = 0
-    shift = 0
-    while b:
-        acc ^= table[b & 0xFF] << shift
-        b >>= 8
-        shift += 8
-    return acc
-
-
-def _mul_mask(a, b):
-    if a.bit_count() > b.bit_count():
-        a, b = b, a
-    if a.bit_count() > _MUL_WINDOW_CUTOVER:
-        return _mul_windowed(a, b)
-    return _mul_schoolbook(a, b)
 
 
 def _divmod_mask(a, d):

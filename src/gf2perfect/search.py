@@ -32,7 +32,7 @@ from typing import NamedTuple
 from .divisors import canonical_class_rep, factor_sigma_prime_power, is_indecomposable
 from .factor import count_irreducibles, factorize
 # bench/trace_launch.py wraps search._mul_mask and search._divmod_mask by
-# name, so both stay imported here although search calls neither.
+# name; search calls _mul_mask, and _divmod_mask stays imported for the tracer.
 from .gf2poly import X, XP1, BudgetError, Poly, _divmod_mask, _mul_mask
 from .mersenne import catalog, enumerate_mersenne_primes, mersenne_form
 
@@ -139,19 +139,6 @@ def search_structured(max_degree: int, mode: str = "perfect") -> list[Poly]:
     return sorted(hits)
 
 
-def _lane_product(lanes: int, c: int) -> int:
-    """Each lane of the packed vector lanes times the polynomial mask c.
-
-    One shift-XOR per set bit of c.  No lane carries into the next as
-    long as every product fits in its lane, which the caller ensures.
-    """
-    out = 0
-    for i in range(c.bit_length()):
-        if c >> i & 1:
-            out ^= lanes << i
-    return out
-
-
 def _divisor_sum_tables(max_degree: int, unitary: bool):
     """sigma (or sigma*) of every mask of degree <= max_degree, on packed lanes.
 
@@ -176,8 +163,8 @@ def _divisor_sum_tables(max_degree: int, unitary: bool):
 
     Every product is taken on a whole array at a time: the array's 32-bit
     lanes are packed into one int, multiplied by a fixed polynomial with
-    one shift-XOR per set bit (_lane_product), and unpacked.  Exact, for
-    two reasons.  Factorization is unique, the primes are taken in a fixed
+    _mul_mask, the package's one carry-less kernel, and unpacked.  Exact,
+    for two reasons.  Factorization is unique, the primes are taken in a fixed
     order, and each new entry is p^e times an entry p does not divide, so
     every odd mask above 1 is produced exactly once, before its bucket is
     written (its primes have lower degree).  And every product, mask or
@@ -198,7 +185,7 @@ def _divisor_sum_tables(max_degree: int, unitary: bool):
         return int.from_bytes(vector, order)
 
     def product(lanes: int, nbytes: int, c: int) -> bytes:
-        return _lane_product(lanes, c).to_bytes(nbytes, order)
+        return _mul_mask(c, lanes).to_bytes(nbytes, order)
 
     def scatter(keys: array, values: array):  # table[k] = v for each pair, with no Python-level loop
         deque(map(setitem, repeat(table), keys, values), maxlen=0)
@@ -232,7 +219,7 @@ def _divisor_sum_tables(max_degree: int, unitary: bool):
                 row_sums = b"".join(sums[k].tobytes() for k in range(room + 1))
                 pe = spe = 1
                 for e in range(1, max_degree // d + 1):
-                    pe = _lane_product(pe, p)
+                    pe = _mul_mask(pe, p)
                     spe = pe ^ 1 if unitary else spe ^ pe  # sigma(p^e) = sigma(p^(e-1)) + p^e
                     top = max_degree - e * d  # buckets 0 .. top times p^e stay in range
                     nbytes = ends[top]

@@ -401,9 +401,11 @@ def run_all(
     if max_mersenne_degree < 2 or max_h < 1:
         return []
     base = "thm1.2" if claim in ("thm1.2-i", "thm1.2-ii") else claim
-    # the one-off checkers take a few milliseconds, so they run here
-    reports = [_CHECKERS[name]() for name in ("lemma3.7", "lemma3.20", "lemma3.9") if base in (None, name)]
-    groups = _task_groups(max_mersenne_degree, max_h, degree_budget, base)
+    # the one-off checkers take a few milliseconds, so they run here, and a
+    # sweep of one of them alone reads no Mersenne prime of the grid
+    one_off = ("lemma3.7", "lemma3.20", "lemma3.9")
+    reports = [_CHECKERS[name]() for name in one_off if base in (None, name)]
+    groups = [] if base in one_off else _task_groups(max_mersenne_degree, max_h, degree_budget, base)
     # the pool starts every worker at once, so never ask for more than can run
     workers = min(jobs, len(groups), os.cpu_count() or 1)
     if workers > 1:

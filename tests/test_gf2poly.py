@@ -17,8 +17,6 @@ from gf2perfect.gf2poly import (
     _mod_mask,
     _mod_table,
     _mul_mask,
-    _mul_schoolbook,
-    _mul_windowed,
     _reducer,
     _reduction_table,
     _sqr_mask,
@@ -75,8 +73,8 @@ def test_mul_kernels_agree():
     for _ in range(10_000):
         a = rng.getrandbits(rng.randrange(1, 160))
         b = rng.getrandbits(rng.randrange(1, 160))
-        assert _mul_schoolbook(a, b) == _mul_windowed(a, b) == mul_reference(Poly(a), Poly(b)).mask
-    for _ in range(50):  # sizes that actually take the windowed path
+        assert _mul_mask(a, b) == mul_reference(Poly(a), Poly(b)).mask
+    for _ in range(50):  # dense operands, about a thousand set bits each
         a, b = rng.getrandbits(2000), rng.getrandbits(2500)
         assert Poly(a) * Poly(b) == mul_reference(Poly(a), Poly(b))
 
@@ -171,8 +169,8 @@ def test_gcd_kernel_matches_reference_euclid():
             assert _gcd_mask(a, b) == _gcd_mask(b, a) == gcd_reference(a, b), (a, b)
     common = parse("x^7+x^3+1").mask
     for _ in range(200):  # a shared factor, so the gcd is not 1
-        a = _mul_schoolbook(common, rng.getrandbits(rng.randrange(1, 120)) | 1)
-        b = _mul_schoolbook(common, rng.getrandbits(rng.randrange(1, 120)) | 1)
+        a = _mul_mask(common, rng.getrandbits(rng.randrange(1, 120)) | 1)
+        b = _mul_mask(common, rng.getrandbits(rng.randrange(1, 120)) | 1)
         assert _gcd_mask(a, b) == gcd_reference(a, b)
         assert _mod_mask(_gcd_mask(a, b), common) == 0
     for a in (1, 2, 0b1011, 1 << 500 | 1):

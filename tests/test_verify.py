@@ -262,10 +262,8 @@ def test_verdicts_rest_on_certified_factorizations():
     assert (splits, nprimes) == (270, 834)
 
 
-def test_run_all_degree_budget_bounds_mersenne_enumeration(monkeypatch):
-    # an instance on M has degree at least 2*deg(M), so the budget caps the
-    # enumeration itself; below degree 2 only the one-off checkers run, and
-    # lemma3.7 enumerates its own fixed range
+def record_enumerations(monkeypatch):
+    # records the max_degree of each of verify's calls of enumerate_mersenne_primes
     asked = []
     enumerate_primes = verify.enumerate_mersenne_primes
 
@@ -274,6 +272,14 @@ def test_run_all_degree_budget_bounds_mersenne_enumeration(monkeypatch):
         return enumerate_primes(max_degree)
 
     monkeypatch.setattr(verify, "enumerate_mersenne_primes", spy)
+    return asked
+
+
+def test_run_all_degree_budget_bounds_mersenne_enumeration(monkeypatch):
+    # an instance on M has degree at least 2*deg(M), so the budget caps the
+    # enumeration itself; below degree 2 only the one-off checkers run, and
+    # lemma3.7 enumerates its own fixed range
+    asked = record_enumerations(monkeypatch)
     reports = run_all(10**5, 1, degree_budget=1)
     assert [r.claim_id for r in reports] == ["lemma3.20", "lemma3.7", "lemma3.9"]
     assert asked == [verify._COUNTING_MAX_M]
@@ -282,6 +288,16 @@ def test_run_all_degree_budget_bounds_mersenne_enumeration(monkeypatch):
     assert [r.params["M"] for r in reports if r.claim_id == "cor3.28"] == ["x^2+x+1"]
     assert sorted(asked) == [2, verify._COUNTING_MAX_M]
     assert all(r.params.get("M", "x^2+x+1") == "x^2+x+1" for r in reports)
+
+
+@pytest.mark.parametrize("claim, expected", [("lemma3.7", [24]), ("lemma3.20", []), ("lemma3.9", [])])
+def test_one_off_claim_enumerates_no_grid_primes(monkeypatch, claim, expected):
+    # a one-off claim reads no Mersenne prime of the grid, so only
+    # lemma3.7's own count of degrees up to 24 enumerates any
+    asked = record_enumerations(monkeypatch)
+    reports = run_all(120, 1, claim=claim)
+    assert [r.claim_id for r in reports] == [claim]
+    assert asked == expected
 
 
 class SerialPool:
