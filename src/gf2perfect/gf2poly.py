@@ -128,6 +128,11 @@ def _reducer(f):
     From degree _REDUCE_TABLE_CUTOVER on, reduce clears eight bits a step
     with f's table of multiples; below it, building the table costs more
     than it saves and reduce is _mod_mask itself, called with no wrapper.
+    The bitwise branch pays at the structured search's small moduli: with
+    the byte table for every modulus, search_structured(36, "perfect")
+    took 58.2 ms against 32.6 ms, and search_structured(34, "unitary")
+    40.5 ms against 22.0 ms (medians of 12 alternating in-process runs,
+    factorize's cache cleared before each, on a 2-core Intel Xeon).
     """
     if f.bit_length() - 1 < _REDUCE_TABLE_CUTOVER:
         return _mod_mask, f

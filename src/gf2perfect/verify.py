@@ -398,14 +398,17 @@ def run_all(
         raise ValueError(f"degree budget must be at least 1, got {degree_budget}")
     if claim is not None and claim not in CLAIM_IDS and claim not in ("thm1.2-i", "thm1.2-ii"):
         raise ValueError(f"unknown claim {claim!r}; known: {', '.join(CLAIM_IDS)}")
+    # the one-off checkers take a few milliseconds, so they run here; one of
+    # them selected alone reads no Mersenne prime of the grid, so it runs
+    # whatever the grid, an empty one included
+    one_off = ("lemma3.7", "lemma3.20", "lemma3.9")
+    if claim in one_off:
+        return [_CHECKERS[claim]()]
     if max_mersenne_degree < 2 or max_h < 1:
         return []
     base = "thm1.2" if claim in ("thm1.2-i", "thm1.2-ii") else claim
-    # the one-off checkers take a few milliseconds, so they run here, and a
-    # sweep of one of them alone reads no Mersenne prime of the grid
-    one_off = ("lemma3.7", "lemma3.20", "lemma3.9")
-    reports = [_CHECKERS[name]() for name in one_off if base in (None, name)]
-    groups = [] if base in one_off else _task_groups(max_mersenne_degree, max_h, degree_budget, base)
+    reports = [_CHECKERS[name]() for name in one_off if base is None]
+    groups = _task_groups(max_mersenne_degree, max_h, degree_budget, base)
     # the pool starts every worker at once, so never ask for more than can run
     workers = min(jobs, len(groups), os.cpu_count() or 1)
     if workers > 1:

@@ -2,27 +2,18 @@
 
 Each one computes its answer the long way, from the definition or from a
 criterion the library does not use, and is shared by several test
-modules; none of them is used by the package.  Run as a script,
-
-    PYTHONPATH=src python tests/oracles.py MAX_DEGREE MAX_H
-
-it runs the verify sweep and certifies every factorization its verdicts
-read (certify_verify_sweep); run as
-
-    PYTHONPATH=src python tests/oracles.py structured MAX_DEGREE MODE
-
-it certifies the structured search's part table instead
-(certify_structured_search).  Either exits 1 on any failure.
+modules; none of them is used by the package.  The certificates,
+certify_verify_sweep and certify_structured_search, re-check every
+verdict a run rests on; tests/pins.py runs them at CI's scale.
 """
 
-import sys
 from itertools import product
 from math import gcd as int_gcd
 
 from gf2perfect import search, verify
 from gf2perfect._intmath import prime_factors
 from gf2perfect.divisors import sigma_prime_power
-from gf2perfect.factor import factorize
+from gf2perfect.factor import factorize, is_squarefree
 from gf2perfect.gf2poly import ONE, BudgetError, Poly, _gcd_mask, _reducer, _sqr_mask, gcd
 from gf2perfect.mersenne import enumerate_mersenne_primes, mersenne_poly
 
@@ -110,9 +101,10 @@ def _certify_splits(splits) -> tuple[int, list[str]]:
 def certify_verify_sweep(max_degree: int, max_h: int) -> tuple[int, int, list[str]]:
     """Run verify serially and certify each split of sigma(M^n) it read.
 
-    Every split must multiply back to its sum, and every prime in it must
-    pass rabin_irreducible.  Returns (distinct (M, n) split, distinct
-    primes, problems).
+    Every split must multiply back to its sum, every prime in it must pass
+    rabin_irreducible, and it must be squarefree exactly when
+    factor.is_squarefree says the sum is.  Returns (distinct (M, n) split,
+    distinct primes, problems).
     """
     seen = {}
     split = verify.factor_sigma_prime_power
@@ -127,6 +119,12 @@ def certify_verify_sweep(max_degree: int, max_h: int) -> tuple[int, int, list[st
     finally:
         verify.factor_sigma_prime_power = split
     problems = [f"verdict fail: {r.to_json()}" for r in verify.failures(reports)]
+    # lemma3.2's verdict by a second route: gcd(s, s') = 1 reads no split
+    problems += [
+        f"is_squarefree disagrees with the split of sigma(({p})^{n})"
+        for (p, n, _), fact in seen.items()
+        if is_squarefree(sigma_prime_power(p, n)) != fact.is_squarefree
+    ]
     nprimes, split_problems = _certify_splits(seen)
     return len(seen), nprimes, problems + split_problems
 
@@ -167,14 +165,3 @@ def certify_structured_search(max_degree: int, mode: str) -> tuple[int, int, int
     nprimes, split_problems = _certify_splits(seen)
     return len(listed), len(seen), nprimes, problems + split_problems
 
-
-if __name__ == "__main__":
-    if sys.argv[1] == "structured":
-        nmersenne, splits, nprimes, problems = certify_structured_search(int(sys.argv[2]), sys.argv[3])
-        print(f"{nmersenne} Mersenne primes, ", end="")
-    else:
-        splits, nprimes, problems = certify_verify_sweep(int(sys.argv[1]), int(sys.argv[2]))
-    print(f"{splits} splits, {nprimes} distinct primes, {len(problems)} problems")
-    for problem in problems:
-        print(problem)
-    sys.exit(1 if problems or not nprimes else 0)

@@ -6,8 +6,9 @@ import time
 
 import pytest
 
-from gf2perfect import cli
+from gf2perfect import cli, verify
 from gf2perfect.cli import main
+import pins
 
 
 def run_cli(capsys, *argv):
@@ -110,61 +111,57 @@ def test_verify_exit_codes_and_filter(capsys):
     assert all(line.startswith(("lemma3.2", "summary:")) for line in out.splitlines())
 
 
-#: sha256 and line count of `verify --max-degree 4 --max-h 2 --format json`,
-#: pinned so that a refactor cannot change a byte of the report stream
-VERIFY_4_2_SHA256 = "8de25dcf724cb58d66ac4750f9bf1306fb4344c3de8afe9d6b7c2286a91dd414"
-VERIFY_4_2_LINES = 95
+def tier1_pins(command):
+    # the tier-1 rows of tests/pins.py that run one subcommand
+    rows = [row for row in pins.PINS if row.tier == "tier1" and row.argv[0] == command]
+    return [(list(row.argv), row.sha256, row.lines) for row in rows]
 
 
-def test_verify_json_digest(capsys):
-    code, out = run_cli(capsys, "verify", "--max-degree", "4", "--max-h", "2", "--format", "json")
-    assert code == 0
-    assert len(out.splitlines()) == VERIFY_4_2_LINES
-    assert hashlib.sha256(out.encode()).hexdigest() == VERIFY_4_2_SHA256
-
-
-def test_verify_json_digest_with_cor3_13_past_max_h(capsys):
-    # at max-h 5, cor3.13 at p = 31 reads sigma(M^30), the record at h = 15,
-    # which no per-h check reads; the stream is pinned from before the checks
-    # shared one record per sigma(M^2h)
-    code, out = run_cli(capsys, "verify", "--max-degree", "8", "--max-h", "5", "--format", "json")
-    assert code == 0
-    assert len(out.splitlines()) == 515
-    assert hashlib.sha256(out.encode()).hexdigest() == "d0a683ae2480051f0eeaf9569e97889e8c0816fa9d2aa7659ccfe3bea6c3c1ce"
-
-
-#: sha256 and line count of `search ... --format json` stdout, pinned so
-#: that a refactor of either search route cannot change a byte of it
-SEARCH_DIGESTS = [
-    (
-        ["--mode", "perfect", "--family", "mersenne", "--max-degree", "24"],
-        "ae9e983a74531e3099ba40dc193492e9055bf61285ef5cdcb98d11577004e5e8",
-        12,
-    ),
-    (
-        ["--mode", "unitary", "--family", "mersenne", "--max-degree", "24", "--all-powers"],
-        "d77ad062c2c26195db466434e403c070abf0fb9833bfd4cf80d3f9ff3078e50e",
-        21,
-    ),
-    (
-        ["--mode", "perfect", "--family", "all", "--max-degree", "12"],
-        "6f202f0e77931bf0ef2ba404031de2dd009ed098d1297ef41db8c99f36040c66",
-        8,
-    ),
-    (
-        ["--mode", "unitary", "--family", "all", "--max-degree", "10", "--all-powers"],
-        "b25805cf53946d52182f6ef33b091b3bdc82d68aa7a88dd460f070a1b7cc71ec",
-        6,
-    ),
-]
-
-
-@pytest.mark.parametrize("argv, sha256, lines", SEARCH_DIGESTS)
-def test_search_json_digest(capsys, argv, sha256, lines):
-    code, out = run_cli(capsys, "search", *argv, "--format", "json")
+@pytest.mark.parametrize("argv, sha256, lines", tier1_pins("verify"))
+def test_verify_json_digest(capsys, argv, sha256, lines):
+    code, out = run_cli(capsys, *argv)
     assert code == 0
     assert len(out.splitlines()) == lines
     assert hashlib.sha256(out.encode()).hexdigest() == sha256
+
+
+@pytest.mark.parametrize("argv, sha256, lines", tier1_pins("search"))
+def test_search_json_digest(capsys, argv, sha256, lines):
+    code, out = run_cli(capsys, *argv)
+    assert code == 0
+    assert len(out.splitlines()) == lines
+    assert hashlib.sha256(out.encode()).hexdigest() == sha256
+
+
+def test_pin_table_rows():
+    # the two digest tests above run every tier-1 row, in process, where no
+    # row's extra environment could take effect; tests/pins.py runs the ci rows
+    tier1 = [row for row in pins.PINS if row.tier == "tier1"]
+    assert {row.tier for row in pins.PINS} == {"tier1", "ci"}
+    assert {row.argv[0] for row in tier1} == {"verify", "search"}
+    assert not any(row.env for row in tier1)
+    assert len({(row.argv, row.env) for row in pins.PINS}) == len(pins.PINS)
+
+
+def test_pins_script_fails_on_a_wrong_digest(capsys):
+    out = b"x^4+x^3+x^2+x+1\n"
+    right = pins.Pin(("sigma", "x^4"), hashlib.sha256(out).hexdigest(), 1, "ci")
+    assert pins.main([right], checks=()) == 0
+    assert capsys.readouterr().out.endswith("1 of 1 ci rows run, 0 mismatched\n")
+    assert pins.main([right, right._replace(sha256="0" * 64)], checks=()) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[1].startswith("MISMATCH") and lines[-1] == "2 of 2 ci rows run, 1 mismatched"
+
+
+def test_verify_exits_1_on_a_failing_verdict(capsys, monkeypatch):
+    def failing(rec):
+        return verify.TheoremReport("lemma3.2", verify._m_params(rec.m, h=rec.h), "fail")
+
+    monkeypatch.setitem(verify._CHECKERS, "lemma3.2", failing)
+    code, out = run_cli(capsys, "verify", "--max-degree", "4", "--max-h", "1", "--format", "json")
+    assert code == 1
+    rows = [json.loads(line) for line in out.splitlines()]
+    assert {r["claim"] for r in rows if r["verdict"] == "fail"} == {"lemma3.2"}
 
 
 def test_search_bruteforce_guard_exits_2(capsys):
@@ -190,6 +187,15 @@ def test_verify_checking_nothing_exits_2(capsys, argv):
     assert code == 2
     assert captured.out == ""
     assert captured.err.startswith("error:") and "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("claim", ["lemma3.7", "lemma3.20", "lemma3.9"])
+def test_verify_one_off_claim_runs_on_an_empty_grid(capsys, claim):
+    # a one-off claim reads no Mersenne prime, so an empty grid does not stop it
+    expected = run_cli(capsys, "verify", "--max-h", "1", "--claim", claim, "--format", "json")
+    assert expected[0] == 0 and len(expected[1].splitlines()) == 1
+    for grid in (["--max-h", "0"], ["--max-degree", "1"]):
+        assert run_cli(capsys, "verify", *grid, "--claim", claim, "--format", "json") == expected
 
 
 def test_verify_unknown_claim_exits_2_on_an_empty_sweep(capsys):

@@ -11,7 +11,7 @@ import subprocess
 import sys
 from pathlib import Path
 
-from test_cli import VERIFY_4_2_LINES, VERIFY_4_2_SHA256
+from pins import pin
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -37,8 +37,9 @@ def run_traced(tmp_path, argv):
 def test_traced_verify_matches_untraced_and_counts_every_layer(tmp_path):
     argv = ["verify", "--max-degree", "4", "--max-h", "2", "--format", "json"]
     stdout, aggregates = run_traced(tmp_path, argv)
-    assert len(stdout.splitlines()) == VERIFY_4_2_LINES
-    assert hashlib.sha256(stdout).hexdigest() == VERIFY_4_2_SHA256
+    expected = pin(*argv)
+    assert len(stdout.splitlines()) == expected.lines
+    assert hashlib.sha256(stdout).hexdigest() == expected.sha256
     for name in ("factor.factorize", "mersenne.enumerate_mersenne_primes", "gf2poly.mod", "verify.claim.lemma3.2"):
         assert aggregates[name]["calls"] > 0, name
 

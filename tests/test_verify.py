@@ -7,7 +7,8 @@ import pytest
 
 from gf2perfect import factor, verify
 from gf2perfect.divisors import sigma
-from gf2perfect.gf2poly import parse
+from gf2perfect.factor import Factorization
+from gf2perfect.gf2poly import X, Poly, parse
 from gf2perfect.mersenne import MersennePrime, catalog, enumerate_mersenne_primes
 from gf2perfect.verify import (
     CLAIM_IDS,
@@ -161,6 +162,56 @@ def test_run_all_small():
     oos = [r for r in reports if r.claim_id == "thm1.2-i" and r.verdict == "out_of_scope"]
     assert {r.params["M"] for r in oos} == {"x^3+x+1", "x^3+x^2+1"}  # h = 1 cubics
     assert run_all(1, 0) == []
+
+
+def _split(*factors):
+    return Factorization(tuple(factors))
+
+
+@pytest.mark.parametrize(
+    "check, break_claim",
+    [
+        # a prime at multiplicity 2
+        pytest.param(
+            check_squarefree,
+            lambda rec: rec._replace(fact=_split((rec.fact[0][0], 2), *rec.fact[1:])),
+            id="lemma3.2",
+        ),
+        # a split of Mersenne primes only
+        pytest.param(
+            check_sigma_even_power,
+            lambda rec: rec._replace(fact=_split((CAT.lookup("M1"), 1))),
+            id="thm1.2",
+        ),
+        pytest.param(check_p_reduction, lambda rec: rec._replace(s=rec.s + X), id="lemma3.4"),
+        # alpha_1 of s flipped
+        pytest.param(
+            check_alpha_ranges,
+            lambda rec: rec._replace(s=rec.s + Poly(1 << (rec.s.degree - 1))),
+            id="lemma3.15",
+        ),
+        # x^2+x+1 in the split, while ord_11(2) = 10
+        pytest.param(
+            check_order_divides_degrees,
+            lambda rec: rec._replace(fact=_split((CAT.lookup("M1"), 1), *rec.fact)),
+            id="lemma3.8",
+        ),
+        # a one-prime split: M itself
+        pytest.param(check_U_split_square, lambda rec: rec._replace(fact=_split((rec.m.poly, 1))), id="cor3.6"),
+    ],
+)
+def test_checker_fails_on_a_record_that_breaks_its_claim(check, break_claim):
+    # negative controls: no real record fails, so a checker that could never
+    # fail would print the same stream.  The record is sigma(M2^10): 2h + 1 =
+    # 11 is prime and M2 is cubic with h >= 2, and each break puts it inside
+    # its claim's hypotheses
+    def verdicts(rec):
+        reports = check(rec)
+        return {r.verdict for r in (reports if isinstance(reports, list) else [reports])}
+
+    rec = sigma_record(M2, 5)
+    assert "fail" not in verdicts(rec)
+    assert "fail" in verdicts(break_claim(rec))
 
 
 def test_run_all_deterministic_and_sorted():
