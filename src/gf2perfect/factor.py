@@ -162,6 +162,10 @@ def _distinct_degree_parts(f: Poly):
 
 @lru_cache(maxsize=8192)
 def _factorize_cached(mask: int) -> Factorization:
+    """factorize's memo, keyed by mask.  maxsize is never reached in the runs
+    measured: a fresh process holds 2,022 entries after verify 8/60, 3,532
+    after 12/60 and 3,233 after the structured search at degree 256 (perfect;
+    3,002 unitary), with as many misses, so nothing was evicted."""
     counts: dict[int, int] = {}
     f = Poly(mask)
     scale = 1

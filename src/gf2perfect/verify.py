@@ -27,8 +27,8 @@ from .factor import Factorization, count_irreducibles, is_irreducible, is_primit
 from .gf2poly import X, XP1, Poly
 from .mersenne import MersennePrime, catalog, enumerate_mersenne_primes, in_delta, mersenne_form, mersenne_poly
 
-#: Default cap on deg(M^2h) for swept instances.
-DEFAULT_DEGREE_BUDGET = 2048
+#: Cap on deg(M^2h) for swept instances.
+DEGREE_BUDGET = 2048
 
 #: Mersenne prime numbers 2^m - 1 accepted by check_degree_m_divisors.
 DESK_MERSENNE_NUMBERS = (3, 7, 31)
@@ -354,17 +354,17 @@ def _run_group(units):
     return reports
 
 
-def _task_groups(max_mersenne_degree: int, max_h: int, degree_budget: int, claim: str | None):
+def _task_groups(max_mersenne_degree: int, max_h: int, claim: str | None):
     # one group per Mersenne prime M, and in it one unit (M, h, names) per
     # record sigma(M^2h) that the checks claim selects read: h = 1..max_h for
     # the per-h checks, 1 for cor3.28 and (p-1)/2 for cor3.13, which may lie
     # past max_h.  A record's pieces q(M) recur across h, so one worker holds
     # all of M.  Every instance has degree at least 2*deg(M), so primes past
-    # half the budget have none
+    # half of DEGREE_BUDGET have none
     groups = []
-    max_degree = min(max_mersenne_degree, degree_budget // 2)
-    for m in enumerate_mersenne_primes(max_degree) if max_degree >= 2 else ():
-        top = degree_budget // (2 * m.degree)
+    max_degree = min(max_mersenne_degree, DEGREE_BUDGET // 2)
+    for m in enumerate_mersenne_primes(max_degree):
+        top = DEGREE_BUDGET // (2 * m.degree)
         desk_h = [(p - 1) // 2 for p in DESK_MERSENNE_NUMBERS if p - 1 <= 2 * top]
         units = []
         for h in sorted(set(desk_h).union(range(1, min(max_h, top) + 1))):
@@ -387,15 +387,12 @@ def run_all(
     max_mersenne_degree: int,
     max_h: int,
     *,
-    degree_budget: int = DEFAULT_DEGREE_BUDGET,
     jobs: int = 1,
     claim: str | None = None,
 ) -> list[TheoremReport]:
     """Sweep every checker over the in-budget grid; deterministic order."""
     if jobs < 1:
         raise ValueError(f"jobs must be at least 1, got {jobs}")
-    if degree_budget < 1:
-        raise ValueError(f"degree budget must be at least 1, got {degree_budget}")
     if claim is not None and claim not in CLAIM_IDS and claim not in ("thm1.2-i", "thm1.2-ii"):
         raise ValueError(f"unknown claim {claim!r}; known: {', '.join(CLAIM_IDS)}")
     # the one-off checkers take a few milliseconds, so they run here; one of
@@ -408,7 +405,7 @@ def run_all(
         return []
     base = "thm1.2" if claim in ("thm1.2-i", "thm1.2-ii") else claim
     reports = [_CHECKERS[name]() for name in one_off if base is None]
-    groups = _task_groups(max_mersenne_degree, max_h, degree_budget, base)
+    groups = _task_groups(max_mersenne_degree, max_h, base)
     # the pool starts every worker at once, so never ask for more than can run
     workers = min(jobs, len(groups), os.cpu_count() or 1)
     if workers > 1:

@@ -50,6 +50,9 @@ PINS = (
     # at max-h 5, cor3.13 at p = 31 reads sigma(M^30), the record at h = 15,
     # which no per-h check reads
     Pin(_verify(8, 5), "d0a683ae2480051f0eeaf9569e97889e8c0816fa9d2aa7659ccfe3bea6c3c1ce", 515, "tier1"),
+    # the degree cap DEGREE_BUDGET = 2048 cuts h to 56, 51, 48, 46 and 44 for
+    # M of degree 18, 20, 21, 22 and 23; lemma3.15 reads the sum alone
+    Pin(_verify(24, 60, "--claim", "lemma3.15"), "7568ad7b6ebf927f8ddf6ce58af3f1f7b5b6061dcefe07551a5a7c1cd61a3051", 2798, "tier1"),
     # both search routes, both modes
     Pin(_search("perfect", "mersenne", 24), "ae9e983a74531e3099ba40dc193492e9055bf61285ef5cdcb98d11577004e5e8", 12, "tier1"),
     Pin(_search("unitary", "mersenne", 24, "--all-powers"), "d77ad062c2c26195db466434e403c070abf0fb9833bfd4cf80d3f9ff3078e50e", 21, "tier1"),

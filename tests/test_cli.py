@@ -177,7 +177,6 @@ def test_search_bruteforce_guard_exits_2(capsys):
     [
         ["--max-degree", "1"],
         ["--max-h", "0"],
-        ["--degree-budget", "-5"],
         ["--jobs", "0"],
     ],
 )

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from gf2perfect import divisors
 from gf2perfect.divisors import (
     canonical_class_rep,
     check,
@@ -215,6 +216,18 @@ def test_is_indecomposable():
         assert not (sigma(u) == u and sigma(v) == v)
     with pytest.raises(ValueError):
         is_indecomposable(CAT.lookup("S1"), "perfect")
+
+
+def test_is_indecomposable_finds_a_perfect_split(monkeypatch):
+    # negative control: no known input splits, so a split test that never
+    # fired would pass every real case.  Under a sigma that fixes each prime
+    # power of T1 = x^2 (x+1) M1, T1 still checks perfect, and every coprime
+    # part of it looks perfect too
+    fixed = {(X, 2): X**2, (XP1, 1): XP1, (CAT.lookup("M1"), 1): CAT.lookup("M1")}
+    monkeypatch.setattr(divisors, "sigma_prime_power", lambda p, n, unitary=False: fixed[p, n])
+    t1 = CAT.lookup("T1")
+    assert check(t1, "perfect").verdict
+    assert not is_indecomposable(t1, "perfect")
 
 
 def test_canonical_class_rep():

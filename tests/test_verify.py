@@ -8,7 +8,7 @@ import pytest
 from gf2perfect import factor, verify
 from gf2perfect.divisors import sigma
 from gf2perfect.factor import Factorization
-from gf2perfect.gf2poly import X, Poly, parse
+from gf2perfect.gf2poly import ONE, X, Poly, parse
 from gf2perfect.mersenne import MersennePrime, catalog, enumerate_mersenne_primes
 from gf2perfect.verify import (
     CLAIM_IDS,
@@ -214,6 +214,64 @@ def test_checker_fails_on_a_record_that_breaks_its_claim(check, break_claim):
     assert "fail" in verdicts(break_claim(rec))
 
 
+@pytest.mark.parametrize(
+    "check, record, break_claim",
+    [
+        # p = 7: no irreducible of degree 3 divides s + 1
+        pytest.param(
+            check_degree_m_divisors,
+            lambda: sigma_record(M3, 3),
+            lambda rec: rec._replace(s=rec.s + ONE),
+            id="cor3.13",
+        ),
+        # 2h + 1 = 11 is prime; U read from the split of sigma(M2^2) is
+        # x^4 (x+1)^2, whose alpha_3 is 0
+        pytest.param(
+            check_alpha3_u2h,
+            lambda: sigma_record(M2, 5),
+            lambda rec: rec._replace(fact=sigma_record(M2, 1).fact),
+            id="cor3.17",
+        ),
+        # a degree-7 prime with three primes in sigma(M^2): alpha_3 of s flipped
+        pytest.param(
+            check_alpha3_u2,
+            lambda: sigma_record(find_mersenne(1, 6), 1),
+            lambda rec: rec._replace(s=rec.s + Poly(1 << (rec.s.degree - 3))),
+            id="cor3.28",
+        ),
+    ],
+)
+def test_checker_fails_on_its_own_record_broken(check, record, break_claim):
+    # negative controls for the checks that read a record of their own
+    # hypotheses rather than sigma(M2^10)
+    rec = record()
+    assert check(rec).verdict == "pass"
+    assert check(break_claim(rec)).verdict == "fail"
+
+
+@pytest.mark.parametrize(
+    "check, name, value",
+    [
+        # degree 7 has Mersenne primes
+        pytest.param(check_no_mersenne_degree_multiple_8, "_MULTIPLE_8_DEGREES", (7,), id="lemma3.20"),
+        # 2^4 - 1 is not prime: x^4+x^3+x^2+x+1 has order 5
+        pytest.param(check_primitivity, "_PRIMITIVE_EXHAUSTIVE_DEGREES", (4,), id="lemma3.9"),
+        # one irreducible too many at degree 5
+        pytest.param(
+            check_counting,
+            "count_irreducibles",
+            lambda m: factor.count_irreducibles(m) + (m == 5),
+            id="lemma3.7",
+        ),
+    ],
+)
+def test_one_off_checker_fails_on_a_range_that_breaks_its_claim(monkeypatch, check, name, value):
+    # negative controls for the checks that read no record
+    assert check().verdict == "pass"
+    monkeypatch.setattr(verify, name, value)
+    assert check().verdict == "fail"
+
+
 def test_run_all_deterministic_and_sorted():
     a = run_all(4, 3)
     b = run_all(4, 3)
@@ -247,7 +305,7 @@ def test_claim_filter_selects_exactly_its_instances(sweep_6_12, claim):
     assert run_all(6, 12, claim=claim) == expected
 
 
-@pytest.mark.parametrize("kwargs", [{"jobs": 0}, {"jobs": -1}, {"degree_budget": 0}, {"degree_budget": -5}])
+@pytest.mark.parametrize("kwargs", [{"jobs": 0}, {"jobs": -1}])
 def test_run_all_rejects_bad_budgets(kwargs):
     with pytest.raises(ValueError):
         run_all(4, 2, **kwargs)
@@ -327,15 +385,11 @@ def record_enumerations(monkeypatch):
 
 
 def test_run_all_degree_budget_bounds_mersenne_enumeration(monkeypatch):
-    # an instance on M has degree at least 2*deg(M), so the budget caps the
-    # enumeration itself; below degree 2 only the one-off checkers run, and
-    # lemma3.7 enumerates its own fixed range
+    # an instance on M has degree at least 2*deg(M), so DEGREE_BUDGET bounds
+    # the enumeration itself; lemma3.7 enumerates its own fixed range
     asked = record_enumerations(monkeypatch)
-    reports = run_all(10**5, 1, degree_budget=1)
-    assert [r.claim_id for r in reports] == ["lemma3.20", "lemma3.7", "lemma3.9"]
-    assert asked == [verify._COUNTING_MAX_M]
-    asked.clear()
-    reports = run_all(10**5, 3, degree_budget=4)
+    monkeypatch.setattr(verify, "DEGREE_BUDGET", 4)
+    reports = run_all(10**5, 3)
     assert [r.params["M"] for r in reports if r.claim_id == "cor3.28"] == ["x^2+x+1"]
     assert sorted(asked) == [2, verify._COUNTING_MAX_M]
     assert all(r.params.get("M", "x^2+x+1") == "x^2+x+1" for r in reports)
