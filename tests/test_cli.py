@@ -177,6 +177,7 @@ def test_search_bruteforce_guard_exits_2(capsys):
     [
         ["--max-degree", "1"],
         ["--max-h", "0"],
+        ["--jobs", "-5"],
         ["--jobs", "0"],
     ],
 )
