@@ -9,7 +9,8 @@ the brute-force oracle (degree <= 20); classify_hits groups the hits.
 
 Exit codes: 0 success or all checks passed, 1 a verdict failed, 2 usage
 or input error (a verify sweep that yields no pass or fail verdict is
-one).  Output depends only on the arguments.
+one; a selected claim that alone yields none gets a note on stderr).
+Output depends only on the arguments.
 """
 
 from __future__ import annotations
@@ -126,6 +127,12 @@ def _cmd_verify(args):
     reports = verify.run_all(args.max_degree, args.max_h, jobs=args.jobs, claim=args.claim)
     if not any(r.verdict in ("pass", "fail") for r in reports):
         raise ValueError("the sweep checked nothing: no instance gave a pass or fail verdict")
+    # a selected claim can still check nothing, its every instance out of
+    # scope; thm1.2 reports its two cases as thm1.2-i and thm1.2-ii
+    for name in verify.CLAIM_IDS if args.claim is None else (args.claim,):
+        verdicts = [r.verdict for r in reports if name in (r.claim_id, r.claim_id.partition("-")[0])]
+        if "pass" not in verdicts and "fail" not in verdicts:
+            print(f"note: {name} checked nothing: {len(verdicts)} out_of_scope", file=sys.stderr)
     nfail = len(verify.failures(reports))
     if args.format == "json":
         lines = [r.to_json() for r in reports]

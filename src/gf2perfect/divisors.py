@@ -120,12 +120,12 @@ def _witness(subject: Poly, divisor_sum: Poly):
 
 def check(a: Poly, mode: str) -> PerfectionReport:
     """Test sigma(a) = a (mode 'perfect') or sigma*(a) = a (mode 'unitary'),
-    with a disagreeing prime-power pair on failure."""
+    with a disagreeing prime-power pair on failure; a must be nonconstant."""
     unitary = mode == "unitary"
     if not unitary and mode != "perfect":
         raise ValueError(f"unknown mode {mode!r}")
-    if not a:
-        raise ValueError("perfection is undefined for the zero polynomial")
+    if not a or a.degree < 1:
+        raise ValueError("perfection is defined for nonconstant polynomials")
     s = sigma_of_factored(factorize(a), unitary)
     report_mode = MODE_SIGMA_STAR if unitary else MODE_SIGMA
     if s == a:
@@ -157,7 +157,8 @@ def is_indecomposable(a: Poly, mode: str = "perfect") -> bool:
     converse is the image under x -> x+1.  Unitary (the paper's lemma
     that unitary perfects are even): a prime P != x of A gives sigma*(A)
     the factor 1 + P^h, which vanishes at 0, and x gives 1 + x^a, which
-    vanishes at 1, so x(x+1) | A unless A = 1.  So a unitary split is
+    vanishes at 1, so x(x+1) | A, as A is nonconstant (check refuses the
+    constants, which sigma* would fix vacuously).  So a unitary split is
     impossible, and a perfect one needs an odd perfect polynomial, of
     which none is known and the brute-force search finds none.  The
     splits are still tried: they are the check.

@@ -87,7 +87,7 @@ def enumerate_mersenne_primes(max_degree: int) -> list[MersennePrime]:
     1 + x^b (x+1)^a, so the one is irreducible iff the other is: only
     a <= b is tested, and each prime found brings its image.  The images
     are put in place, not appended, since the structured search numbers
-    its primes in this order and verify runs its groups by it.
+    its primes in this order and verify sweeps them in it.
     """
     if max_degree < 2:
         raise ValueError("Mersenne primes have degree at least 2")

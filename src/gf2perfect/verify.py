@@ -17,6 +17,7 @@ from __future__ import annotations
 import json
 import os
 from collections import Counter
+from functools import partial
 from itertools import chain, islice
 from typing import NamedTuple
 
@@ -342,45 +343,31 @@ _CHECKERS = {
 CLAIM_IDS = tuple(sorted(_CHECKERS))
 
 
-def _run_group(units):
-    # a unit (M, h, names) runs the checks in names on one record of sigma(M^2h),
-    # split unless they all read the sum alone; lemma3.4 reports once per k
+def _check_prime(m: MersennePrime, max_h: int, claim: str | None) -> list[TheoremReport]:
+    # the reports of the checks claim selects on M's records sigma(M^2h):
+    # h = 1..max_h for the per-h checks, 1 for cor3.28 and (p-1)/2 for
+    # cor3.13, which may lie past max_h.  A record is split unless its checks
+    # all read the sum alone; lemma3.4 reports once per k.  A record's pieces
+    # q(M) recur across h, so one worker holds all of M
+    top = DEGREE_BUDGET // (2 * m.degree)
+    desk_h = [(p - 1) // 2 for p in DESK_MERSENNE_NUMBERS if p - 1 <= 2 * top]
     reports = []
-    for m, h, names in units:
-        rec = sigma_record(m, h, split=not {"lemma3.4", "lemma3.15"}.issuperset(names))
-        for name in names:
-            r = _CHECKERS[name](rec)
-            reports += r if isinstance(r, list) else [r]
+    for h in sorted(set(desk_h).union(range(1, min(max_h, top) + 1))):
+        per_h = h <= max_h
+        reads = {
+            **dict.fromkeys(("lemma3.2", "thm1.2", "cor3.6", "lemma3.15", "lemma3.4"), per_h),
+            "cor3.17": per_h and (m.a, m.b) == (1, 2),
+            "lemma3.8": per_h and _intmath.is_prime(2 * h + 1),
+            "cor3.28": h == 1,
+            "cor3.13": h in desk_h,
+        }
+        names = [name for name, read in reads.items() if read and claim in (None, name)]
+        if names:
+            rec = sigma_record(m, h, split=not {"lemma3.4", "lemma3.15"}.issuperset(names))
+            for name in names:
+                r = _CHECKERS[name](rec)
+                reports += r if isinstance(r, list) else [r]
     return reports
-
-
-def _task_groups(max_mersenne_degree: int, max_h: int, claim: str | None):
-    # one group per Mersenne prime M, and in it one unit (M, h, names) per
-    # record sigma(M^2h) that the checks claim selects read: h = 1..max_h for
-    # the per-h checks, 1 for cor3.28 and (p-1)/2 for cor3.13, which may lie
-    # past max_h.  A record's pieces q(M) recur across h, so one worker holds
-    # all of M.  Every instance has degree at least 2*deg(M), so primes past
-    # half of DEGREE_BUDGET have none
-    groups = []
-    max_degree = min(max_mersenne_degree, DEGREE_BUDGET // 2)
-    for m in enumerate_mersenne_primes(max_degree):
-        top = DEGREE_BUDGET // (2 * m.degree)
-        desk_h = [(p - 1) // 2 for p in DESK_MERSENNE_NUMBERS if p - 1 <= 2 * top]
-        units = []
-        for h in sorted(set(desk_h).union(range(1, min(max_h, top) + 1))):
-            per_h = h <= max_h
-            reads = {
-                **dict.fromkeys(("lemma3.2", "thm1.2", "cor3.6", "lemma3.15", "lemma3.4"), per_h),
-                "cor3.17": per_h and (m.a, m.b) == (1, 2),
-                "lemma3.8": per_h and _intmath.is_prime(2 * h + 1),
-                "cor3.28": h == 1,
-                "cor3.13": h in desk_h,
-            }
-            names = tuple(name for name, read in reads.items() if read and claim in (None, name))
-            if names:
-                units.append((m, h, names))
-        groups.append(units)
-    return [units for units in groups if units]
 
 
 def run_all(
@@ -405,18 +392,20 @@ def run_all(
         return []
     base = "thm1.2" if claim in ("thm1.2-i", "thm1.2-ii") else claim
     reports = [_CHECKERS[name]() for name in one_off if base is None]
-    groups = _task_groups(max_mersenne_degree, max_h, base)
+    # an instance on M has degree at least 2*deg(M), so DEGREE_BUDGET bounds M
+    primes = enumerate_mersenne_primes(min(max_mersenne_degree, DEGREE_BUDGET // 2))
+    check = partial(_check_prime, max_h=max_h, claim=base)
     # the pool starts every worker at once, so never ask for more than can run
-    workers = min(jobs, len(groups), os.cpu_count() or 1)
+    workers = min(jobs, len(primes), os.cpu_count() or 1)
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor  # a serial run never loads multiprocessing
 
         # enumerate_mersenne_primes yields M by degree, and a prime's checks
-        # cost more as its degree grows, so the last groups go first
+        # cost more as its degree grows, so the last primes go first
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            reports += [r for rs in pool.map(_run_group, reversed(groups)) for r in rs]
+            reports += [r for rs in pool.map(check, reversed(primes)) for r in rs]
     else:
-        reports += [r for units in groups for r in _run_group(units)]
+        reports += [r for m in primes for r in check(m)]
     if base != claim:
         reports = [r for r in reports if r.claim_id == claim]
     reports.sort(key=TheoremReport.sort_key)

@@ -16,8 +16,9 @@ It then prints one line per mutant and the count killed, and exits 1
 unless every mutant is killed.
 
 The rows are the checkers' verdicts made never to read "fail", the exit
-code of a failing sweep, is_indecomposable's split test, and five edits
-of the factoring, the search and the sweep's grid.  No real instance
+code of a failing sweep, is_indecomposable's split test, and eight edits
+of the factoring, the search, the sweep's grid, split rule and pool, and
+verify's stderr note on a claim that checked nothing.  No real instance
 fails a claim, so only the negative controls in tests/test_verify.py,
 tests/test_cli.py and tests/test_divisors.py can kill the first 14.
 """
@@ -189,6 +190,27 @@ MUTANTS = (
         "range(1, min(max_h, top) + 1)",
         "range(1, min(max_h, top))",
         ("tests/test_cli.py::test_verify_json_digest",),
+    ),
+    Mutant(
+        "a record read for its sum alone is split",
+        "verify.py",
+        'split=not {"lemma3.4", "lemma3.15"}.issuperset(names)',
+        "split=True",
+        ("tests/test_verify.py::test_claims_on_the_sum_alone_split_nothing",),
+    ),
+    Mutant(
+        "the pool skips the lowest prime",
+        "verify.py",
+        "pool.map(check, reversed(primes))",
+        "pool.map(check, reversed(primes[1:]))",
+        ("tests/test_verify.py::test_run_all_clamps_workers",),
+    ),
+    Mutant(
+        "verify never notes a claim that checked nothing",
+        "cli.py",
+        'if "pass" not in verdicts and "fail" not in verdicts:',
+        "if False:",
+        ("tests/test_cli.py::test_verify_notes_each_claim_that_checked_nothing",),
     ),
 )
 

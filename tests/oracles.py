@@ -87,11 +87,11 @@ def rabin_irreducible(p: Poly) -> bool:
 
 
 def _certify_splits(splits) -> tuple[int, list[str]]:
-    # every split must multiply back to the closed-form sum it stands for,
-    # and every prime in it must pass rabin_irreducible
+    # splits maps (p, n, unitary) to (sum, split): every split must multiply
+    # back to its sum, and every prime in it must pass rabin_irreducible
     problems, primes = [], set()
-    for (p, n, unitary), fact in splits.items():
-        if fact.reconstruct() != sigma_prime_power(p, n, unitary):
+    for (p, n, unitary), (s, fact) in splits.items():
+        if fact.reconstruct() != s:
             problems.append(f"split of sigma{'*' if unitary else ''}(({p})^{n}) does not multiply back")
         primes.update(q for q, _ in fact)
     problems += [f"not irreducible: {q}" for q in sorted(primes) if not rabin_irreducible(q)]
@@ -99,34 +99,41 @@ def _certify_splits(splits) -> tuple[int, list[str]]:
 
 
 def certify_verify_sweep(max_degree: int, max_h: int) -> tuple[int, int, list[str]]:
-    """Run verify serially and certify each split of sigma(M^n) it read.
+    """Run verify serially and certify each record of sigma(M^n) it formed.
 
-    Every split must multiply back to its sum, every prime in it must pass
-    rabin_irreducible, and it must be squarefree exactly when
+    Every record's sum must be sigma_prime_power's.  Every split a record
+    holds must multiply back to that record's own sum, every prime in it
+    must pass rabin_irreducible, and it must be squarefree exactly when
     factor.is_squarefree says the sum is.  Returns (distinct (M, n) split,
     distinct primes, problems).
     """
-    seen = {}
-    split = verify.factor_sigma_prime_power
+    records = []
+    form = verify.sigma_record
 
-    def recording(p, n):
-        seen[p, n, False] = split(p, n)
-        return seen[p, n, False]
+    def recording(m, h, **kwargs):
+        records.append(form(m, h, **kwargs))
+        return records[-1]
 
-    verify.factor_sigma_prime_power = recording
+    verify.sigma_record = recording
     try:
         reports = verify.run_all(max_degree, max_h)
     finally:
-        verify.factor_sigma_prime_power = split
+        verify.sigma_record = form
     problems = [f"verdict fail: {r.to_json()}" for r in verify.failures(reports)]
+    problems += [
+        f"the record of sigma(({r.m.poly})^{2 * r.h}) holds a wrong sum"
+        for r in records
+        if r.s != sigma_prime_power(r.m.poly, 2 * r.h)
+    ]
+    splits = {(r.m.poly, 2 * r.h, False): (r.s, r.fact) for r in records if r.fact is not None}
     # lemma3.2's verdict by a second route: gcd(s, s') = 1 reads no split
     problems += [
         f"is_squarefree disagrees with the split of sigma(({p})^{n})"
-        for (p, n, _), fact in seen.items()
-        if is_squarefree(sigma_prime_power(p, n)) != fact.is_squarefree
+        for (p, n, _), (s, fact) in splits.items()
+        if is_squarefree(s) != fact.is_squarefree
     ]
-    nprimes, split_problems = _certify_splits(seen)
-    return len(seen), nprimes, problems + split_problems
+    nprimes, split_problems = _certify_splits(splits)
+    return len(splits), nprimes, problems + split_problems
 
 
 def certify_structured_search(max_degree: int, mode: str) -> tuple[int, int, int, list[str]]:
@@ -154,8 +161,9 @@ def certify_structured_search(max_degree: int, mode: str) -> tuple[int, int, int
     split = search.factor_sigma_prime_power
 
     def recording(p, n, unitary):
-        seen[p, n, unitary] = split(p, n, unitary)
-        return seen[p, n, unitary]
+        fact = split(p, n, unitary)
+        seen[p, n, unitary] = sigma_prime_power(p, n, unitary), fact
+        return fact
 
     search.factor_sigma_prime_power = recording
     try:

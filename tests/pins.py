@@ -62,6 +62,9 @@ PINS = (
     # keeps its own copy of this digest
     Pin(_verify(8, 60, "--jobs", "1"), _SWEEP_8_60, 6121, "ci", (("PYTHONHASHSEED", "0"),)),
     Pin(_verify(8, 60, "--jobs", "2"), _SWEEP_8_60, 6121, "ci", (("PYTHONHASHSEED", "12345"),)),
+    # one claim on one prime, sharded: the pool still maps every prime of
+    # the grid, and the 12 that cor3.17 does not read return nothing
+    Pin(_verify(8, 60, "--claim", "cor3.17", "--jobs", "2"), "0eb287f150612e622664231b8bc1378995a37b984f76c6e4f5d80bf364d1ef03", 60, "ci"),
     # wider sweeps, sharded over two workers: the serial streams
     Pin(_verify(10, 60, "--jobs", "2"), "006557786f8387c78924cb88271532fa1452f589f15f3aa34da0e4e655aff09c", 8917, "ci"),
     Pin(_verify(12, 60, "--jobs", "2"), "e50c5a46d53aa9182be93d8d6989061d692673119caea0cc10bb876b110d82c2", 10781, "ci"),

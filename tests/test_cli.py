@@ -207,6 +207,33 @@ def test_verify_unknown_claim_exits_2_on_an_empty_sweep(capsys):
     assert len(lines) == 1 and lines[0].startswith("error: unknown claim 'nope'")
 
 
+@pytest.mark.parametrize(
+    "grid, notes",
+    [
+        ((6, 30), ["note: cor3.28 checked nothing: 9 out_of_scope"]),
+        ((4, 2), ["note: cor3.17 checked nothing: 2 out_of_scope", "note: cor3.28 checked nothing: 5 out_of_scope"]),
+        ((8, 5), []),
+    ],
+)
+def test_verify_notes_each_claim_that_checked_nothing(capsys, grid, notes):
+    # a claim whose every instance is out of scope gets a note on stderr;
+    # the stream and the exit code stay those of the sweep
+    code = main(["verify", "--max-degree", str(grid[0]), "--max-h", str(grid[1]), "--format", "json"])
+    captured = capsys.readouterr()
+    assert code == 0 and captured.out
+    assert captured.err.splitlines() == notes
+
+
+def test_check_refuses_constants(capsys):
+    # perfection is defined for nonconstant polynomials, and a constant
+    # would check unitary perfect vacuously
+    for mode in ("perfect", "unitary"):
+        assert main(["check", "--mode", mode, "1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: perfection is defined for nonconstant polynomials\n"
+
+
 def test_search_json(capsys):
     code, out = run_cli(capsys, "search", "--mode", "unitary", "--family", "all", "--max-degree", "10", "--format", "json")
     assert code == 0

@@ -151,6 +151,15 @@ def test_unitary_perfection_reports():
     assert is_unitary_perfect(CAT.lookup("B7") ** 2).verdict
 
 
+@pytest.mark.parametrize("a", [Poly(0), ONE])
+def test_check_refuses_constants(a):
+    # sigma*(1) = 1 would make 1 unitary perfect, against the paper's lemma
+    # that every unitary perfect polynomial is even
+    for fn in (is_perfect, is_unitary_perfect):
+        with pytest.raises(ValueError, match="nonconstant"):
+            fn(a)
+
+
 def test_witness_invariant():
     # verdict false => the witness powers match the subject and its sum
     rng = random.Random(67)

@@ -419,8 +419,8 @@ class SerialPool:
     def __exit__(self, *exc):
         return False
 
-    def map(self, fn, groups, chunksize=1):
-        return map(fn, groups)
+    def map(self, fn, items, chunksize=1):
+        return map(fn, items)
 
 
 def test_run_all_clamps_workers(monkeypatch):
@@ -438,36 +438,57 @@ def test_run_all_clamps_workers(monkeypatch):
 
 
 def test_run_all_cold_workers_factor_each_piece_once(monkeypatch):
-    # each group starts on a cleared cache, as in a freshly started worker;
-    # no piece q(M) may then be factored by two groups, and the stream must
-    # be the serial one.  Only the c = 1 + z + ... + z^n, all-ones masks,
-    # recur, since each worker factors them for itself
+    # each call of _check_prime starts on a cleared cache, as in a freshly
+    # started worker; no piece q(M) may then be factored by two calls, and
+    # the stream must be the serial one.  Only the c = 1 + z + ... + z^n,
+    # all-ones masks, recur, since each worker factors them for itself
     serial = [r.to_json() for r in run_all(6, 12)]
-    run_group = verify._run_group
-    calls, groups = Counter(), Counter()
+    check_prime = verify._check_prime
+    calls, primes = Counter(), Counter()
     factor_mask = factor._factorize_cached.__wrapped__
 
     def counting(mask):
         calls[mask] += 1
         return factor_mask(mask)
 
-    def cold(tasks):
+    def cold(*args, **kwargs):
         factor._factorize_cached.cache_clear()
         calls.clear()
-        reports = run_group(tasks)
+        reports = check_prime(*args, **kwargs)
         assert set(calls.values()) <= {1}
-        groups.update(calls)
+        primes.update(calls)
         return reports
 
     # a cache of factorize's size over a counting body, which a hit never reaches
     monkeypatch.setattr(factor, "_factorize_cached", lru_cache(maxsize=8192)(counting))
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
     monkeypatch.setattr(verify.os, "cpu_count", lambda: 2)
-    monkeypatch.setattr(verify, "_run_group", cold)
+    monkeypatch.setattr(verify, "_check_prime", cold)
     assert [r.to_json() for r in run_all(6, 12, jobs=2)] == serial
-    repeated = [mask for mask, k in groups.items() if k > 1]
+    repeated = [mask for mask, k in primes.items() if k > 1]
     assert repeated and all(mask & mask + 1 == 0 for mask in repeated)
-    assert len(groups) > len(repeated)
+    assert len(primes) > len(repeated)
+
+
+def test_run_all_pool_maps_primes_that_check_nothing(monkeypatch):
+    # the pool gets every Mersenne prime of the grid; cor3.17 reads
+    # x^3+x+1 alone, so 12 of the 13 primes of degree <= 8 return no report
+    serial = run_all(8, 5, claim="cor3.17")
+    check_prime = verify._check_prime
+    returned = []
+
+    def spy(*args, **kwargs):
+        returned.append(check_prime(*args, **kwargs))
+        return returned[-1]
+
+    monkeypatch.setattr(SerialPool, "sizes", [])
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(verify.os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(verify, "_check_prime", spy)
+    assert run_all(8, 5, jobs=2, claim="cor3.17") == serial
+    assert SerialPool.sizes == [2]
+    assert len(returned) == 13 and [len(rs) for rs in returned].count(0) == 12
+    assert [r.params["M"] for r in serial] == ["x^3+x+1"] * 5
 
 
 def test_report_json_shape():
