@@ -150,12 +150,12 @@ def _cmd_verify(args):
 
 def _cmd_search(args):
     run = search.search_bruteforce if args.family == "all" else search.search_structured
-    report = search.classify_hits(run(args.max_degree, args.mode), args.mode)
+    classes = search.classify_hits(run(args.max_degree, args.mode), args.mode)
     lines = []
     if args.all_powers:
-        shown = [(member, cls) for cls in report.classes for member in cls.members]
+        shown = [(member, cls) for cls in classes for member in cls.members]
     else:
-        shown = [(cls.rep, cls) for cls in report.classes]
+        shown = [(cls.rep, cls) for cls in classes]
     for poly, cls in shown:
         obj = {
             "poly": str(poly),

@@ -107,12 +107,9 @@ def exact_power(prime: Poly, s: Poly) -> int:
 def _witness(subject: Poly, divisor_sum: Poly):
     # first prime (in mask order) whose exact powers in subject and in the
     # divisor sum disagree; one exists whenever the two differ
-    fs = factorize(subject)
-    fd = factorize(divisor_sum)
-    primes = sorted(set(fs.primes()) | set(fd.primes()))
-    for p in primes:
-        m1 = fs.exponent_of(p)
-        m2 = fd.exponent_of(p)
+    fs, fd = dict(factorize(subject)), dict(factorize(divisor_sum))
+    for p in sorted(fs.keys() | fd.keys()):
+        m1, m2 = fs.get(p, 0), fd.get(p, 0)
         if m1 != m2:
             return p, m1, m2
     return None

@@ -52,21 +52,8 @@ class Factorization(tuple):
     def __new__(cls, factors: tuple[tuple[Poly, int], ...]):
         return super().__new__(cls, factors)
 
-    @property
-    def factors(self) -> tuple[tuple[Poly, int], ...]:
-        return tuple(self)
-
     def __repr__(self):
-        return f"Factorization(factors={self.factors!r})"
-
-    def primes(self) -> tuple[Poly, ...]:
-        return tuple(p for p, _ in self)
-
-    def exponent_of(self, prime: Poly) -> int:
-        for p, m in self:
-            if p == prime:
-                return m
-        return 0
+        return f"Factorization(factors={tuple(self)!r})"
 
     @property
     def is_squarefree(self) -> bool:
@@ -223,11 +210,6 @@ def factorize_composed(c: Poly, p: Poly) -> Factorization:
         for r, f in factorize(Poly(_compose_mask(q.mask, p.mask))):
             counts[r] = counts.get(r, 0) + e * f
     return Factorization(factors=tuple(sorted(counts.items())))
-
-
-def omega(p: Poly) -> int:
-    """Number of distinct irreducible factors."""
-    return len(factorize(p))
 
 
 def is_squarefree(p: Poly) -> bool:

@@ -18,20 +18,6 @@ from . import _intmath
 from .factor import is_irreducible
 from .gf2poly import ONE, X, XP1, Poly, parse
 
-__all__ = [
-    "MersennePrime",
-    "mersenne_poly",
-    "is_mersenne_prime",
-    "mersenne_form",
-    "enumerate_mersenne_primes",
-    "ord2",
-    "in_delta",
-    "catalog",
-    "Catalog",
-    "parse_named",
-]
-
-
 class MersennePrime(NamedTuple):
     """An irreducible 1 + x^a (x+1)^b together with its (a, b) witness."""
 
@@ -71,11 +57,7 @@ def mersenne_form(p: Poly) -> tuple[int, int] | None:
 def is_mersenne_prime(p: Poly) -> tuple[int, int] | None:
     """The (a, b) witness if p is an irreducible 1 + x^a (x+1)^b, else None."""
     form = mersenne_form(p)
-    if form is None:
-        return None
-    if not is_irreducible(p):
-        return None
-    return form
+    return form if form is not None and is_irreducible(p) else None
 
 
 def enumerate_mersenne_primes(max_degree: int) -> list[MersennePrime]:

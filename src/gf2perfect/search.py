@@ -282,20 +282,8 @@ class HitClass(NamedTuple):
     decomposable: bool
 
 
-class ClassificationReport(NamedTuple):
-    classes: tuple[HitClass, ...]
-
-    @property
-    def flagged(self) -> tuple[HitClass, ...]:
-        return tuple(c for c in self.classes if c.outside_scope)
-
-    @property
-    def nontrivial(self) -> tuple[HitClass, ...]:
-        return tuple(c for c in self.classes if not c.trivial)
-
-
-def classify_hits(hits, mode: str) -> ClassificationReport:
-    """Group hits into classes and flag the notable ones.
+def classify_hits(hits, mode: str) -> tuple[HitClass, ...]:
+    """Group hits into classes, sorted by representative, and flag the notable ones.
 
     Unitary hits are grouped under their canonical power-of-two class
     representative (squaring and the x -> x+1 conjugate both preserve
@@ -329,4 +317,4 @@ def classify_hits(hits, mode: str) -> ClassificationReport:
                 decomposable=not is_indecomposable(groups[rep][0], mode),
             )
         )
-    return ClassificationReport(classes=tuple(classes))
+    return tuple(classes)

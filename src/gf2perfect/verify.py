@@ -343,15 +343,12 @@ _CHECKERS = {
 CLAIM_IDS = tuple(sorted(_CHECKERS))
 
 
-def _check_prime(m: MersennePrime, max_h: int, claim: str | None) -> list[TheoremReport]:
-    # the reports of the checks claim selects on M's records sigma(M^2h):
+def _records_read(m: MersennePrime, max_h: int, claim: str | None):
+    # yields (h, the checks claim selects that read M's record sigma(M^2h)):
     # h = 1..max_h for the per-h checks, 1 for cor3.28 and (p-1)/2 for
-    # cor3.13, which may lie past max_h.  A record is split unless its checks
-    # all read the sum alone; lemma3.4 reports once per k.  A record's pieces
-    # q(M) recur across h, so one worker holds all of M
+    # cor3.13, which may lie past max_h; cor3.17 reads x^3+x+1 alone
     top = DEGREE_BUDGET // (2 * m.degree)
     desk_h = [(p - 1) // 2 for p in DESK_MERSENNE_NUMBERS if p - 1 <= 2 * top]
-    reports = []
     for h in sorted(set(desk_h).union(range(1, min(max_h, top) + 1))):
         per_h = h <= max_h
         reads = {
@@ -361,12 +358,20 @@ def _check_prime(m: MersennePrime, max_h: int, claim: str | None) -> list[Theore
             "cor3.28": h == 1,
             "cor3.13": h in desk_h,
         }
-        names = [name for name, read in reads.items() if read and claim in (None, name)]
-        if names:
-            rec = sigma_record(m, h, split=not {"lemma3.4", "lemma3.15"}.issuperset(names))
-            for name in names:
-                r = _CHECKERS[name](rec)
-                reports += r if isinstance(r, list) else [r]
+        if names := [name for name, read in reads.items() if read and claim in (None, name)]:
+            yield h, names
+
+
+def _check_prime(m: MersennePrime, max_h: int, claim: str | None) -> list[TheoremReport]:
+    # the reports of those checks on M.  A record is split unless its checks
+    # all read the sum alone; lemma3.4 reports once per k.  A record's pieces
+    # q(M) recur across h, so one worker holds all of M
+    reports = []
+    for h, names in _records_read(m, max_h, claim):
+        rec = sigma_record(m, h, split=not {"lemma3.4", "lemma3.15"}.issuperset(names))
+        for name in names:
+            r = _CHECKERS[name](rec)
+            reports += r if isinstance(r, list) else [r]
     return reports
 
 
@@ -394,6 +399,7 @@ def run_all(
     reports = [_CHECKERS[name]() for name in one_off if base is None]
     # an instance on M has degree at least 2*deg(M), so DEGREE_BUDGET bounds M
     primes = enumerate_mersenne_primes(min(max_mersenne_degree, DEGREE_BUDGET // 2))
+    primes = [m for m in primes if any(_records_read(m, max_h, base))]
     check = partial(_check_prime, max_h=max_h, claim=base)
     # the pool starts every worker at once, so never ask for more than can run
     workers = min(jobs, len(primes), os.cpu_count() or 1)

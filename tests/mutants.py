@@ -16,10 +16,12 @@ It then prints one line per mutant and the count killed, and exits 1
 unless every mutant is killed.
 
 The rows are the checkers' verdicts made never to read "fail", the exit
-code of a failing sweep, is_indecomposable's split test, and eight edits
-of the factoring, the search, the sweep's grid, split rule and pool, and
-verify's stderr note on a claim that checked nothing.  No real instance
-fails a claim, so only the negative controls in tests/test_verify.py,
+code of a failing sweep, is_indecomposable's split test, and fourteen
+edits: of the factoring, of integer factoring, of the parser, of two
+checkers' failing branches, of the search and its text output, of the
+sweep's grid, split rule and pool and the primes it maps, and of verify's
+stderr note on a claim that checked nothing.  No real instance fails a
+claim, so only the negative controls in tests/test_verify.py,
 tests/test_cli.py and tests/test_divisors.py can kill the first 14.
 """
 
@@ -211,6 +213,48 @@ MUTANTS = (
         'if "pass" not in verdicts and "fail" not in verdicts:',
         "if False:",
         ("tests/test_cli.py::test_verify_notes_each_claim_that_checked_nothing",),
+    ),
+    Mutant(
+        "rho never splits",
+        "_intmath.py",
+        "if d != n:",
+        "if d == n:",
+        ("tests/test_intmath.py::test_factorize_int_splits_mersenne_numbers_with_rho",),
+    ),
+    Mutant(
+        "the parser accepts trailing input",
+        "gf2poly.py",
+        '        if self.pos != len(self.tokens):\n            raise ValueError("trailing input in polynomial expression")\n',
+        "",
+        ("tests/test_gf2poly.py::test_parse_errors",),
+    ),
+    Mutant(
+        "thm1.2 passes a split with a repeated prime",
+        "verify.py",
+        '    if not fact.is_squarefree:\n        return TheoremReport("thm1.2", params, "fail", witness)\n',
+        "",
+        _broken_record("thm1.2-repeated"),
+    ),
+    Mutant(
+        "lemma3.7 skips its lower bound",
+        "verify.py",
+        '        if m >= 4 and not _exceeds_isqrt_bound(n2, m):\n            bad.append(f"lower bound at {m}")\n',
+        "",
+        _broken_range("lemma3.7-lower-bound"),
+    ),
+    Mutant(
+        "search text shows no flags",
+        "cli.py",
+        'flags = [k for k in ("trivial", "in_catalog", "outside_scope", "decomposable") if obj[k]]',
+        "flags = []",
+        ("tests/test_cli.py::test_search_json_digest",),
+    ),
+    Mutant(
+        "the sweep maps every prime for any claim",
+        "verify.py",
+        "    primes = [m for m in primes if any(_records_read(m, max_h, base))]\n",
+        "",
+        ("tests/test_verify.py::test_run_all_maps_only_the_primes_a_claim_reads",),
     ),
 )
 

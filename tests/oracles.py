@@ -30,8 +30,8 @@ def _sigma_prime_power_naive(prime: Poly, n: int) -> Poly:
 
 
 def _divisors(fact):
-    primes = fact.primes()
-    for exps in product(*[range(m + 1) for _, m in fact.factors]):
+    primes = tuple(p for p, _ in fact)
+    for exps in product(*[range(m + 1) for _, m in fact]):
         d = ONE
         for p, e in zip(primes, exps):
             d = d * p**e

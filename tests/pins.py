@@ -58,12 +58,17 @@ PINS = (
     Pin(_search("unitary", "mersenne", 24, "--all-powers"), "d77ad062c2c26195db466434e403c070abf0fb9833bfd4cf80d3f9ff3078e50e", 21, "tier1"),
     Pin(_search("perfect", "all", 12), "6f202f0e77931bf0ef2ba404031de2dd009ed098d1297ef41db8c99f36040c66", 8, "tier1"),
     Pin(_search("unitary", "all", 10, "--all-powers"), "b25805cf53946d52182f6ef33b091b3bdc82d68aa7a88dd460f070a1b7cc71ec", 6, "tier1"),
+    # the text renderers of search, mersenne and explore-p7's json
+    Pin(("search", "--mode", "perfect", "--family", "mersenne", "--max-degree", "24"), "c0bda08cb1a0e006eb8e3adff686f3e923d30560a94319bf4b9ce5e6a07d3a70", 12, "tier1"),
+    Pin(("search", "--mode", "unitary", "--family", "mersenne", "--max-degree", "24", "--all-powers"), "89ab674af5b69df552c504af615d527ba8dce6ce9d1a084367be0ea31069d276", 21, "tier1"),
+    Pin(("mersenne", "--max-degree", "6"), "a71ac7ed7d967d9dc79fd53453bd74c751c26d7dcc19f4a578bbedd50f8f6864", 9, "tier1"),
+    Pin(("explore-p7", "M2", "--format", "json"), "597bcde6af1f24fcd66155e1992dae640b58bdb50c523a43ada166909bcc85a6", 1, "tier1"),
     # the full sweep, serial and sharded, under two hash seeds; bench/run.py
     # keeps its own copy of this digest
     Pin(_verify(8, 60, "--jobs", "1"), _SWEEP_8_60, 6121, "ci", (("PYTHONHASHSEED", "0"),)),
     Pin(_verify(8, 60, "--jobs", "2"), _SWEEP_8_60, 6121, "ci", (("PYTHONHASHSEED", "12345"),)),
-    # one claim on one prime, sharded: the pool still maps every prime of
-    # the grid, and the 12 that cor3.17 does not read return nothing
+    # one claim on one prime at --jobs 2: cor3.17 reads x^3+x+1 alone, so
+    # run_all maps that one prime and takes the serial path, with no pool
     Pin(_verify(8, 60, "--claim", "cor3.17", "--jobs", "2"), "0eb287f150612e622664231b8bc1378995a37b984f76c6e4f5d80bf364d1ef03", 60, "ci"),
     # wider sweeps, sharded over two workers: the serial streams
     Pin(_verify(10, 60, "--jobs", "2"), "006557786f8387c78924cb88271532fa1452f589f15f3aa34da0e4e655aff09c", 8917, "ci"),

@@ -88,8 +88,8 @@ def test_criterion_04_classification_reproduction():
         problems.append("perfect hits at degree 36 differ from trivials + the nine")
 
     uhits = search_structured(30, "unitary")
-    report = classify_hits(uhits, "unitary")
-    nontrivial = report.nontrivial
+    classes = classify_hits(uhits, "unitary")
+    nontrivial = [c for c in classes if not c.trivial]
     expected_reps = {canonical_class_rep(b) for b in CAT.unitary_perfects}
     if {c.rep for c in nontrivial} != expected_reps:
         problems.append("unitary class representatives differ from the nine classes")
@@ -106,7 +106,7 @@ def test_criterion_04_classification_reproduction():
     got_members = {m for c in nontrivial for m in c.members}
     if got_members != expected_members:
         problems.append("unitary members differ from in-budget 2-powers")
-    trivial_classes = [c for c in report.classes if c.trivial]
+    trivial_classes = [c for c in classes if c.trivial]
     if [c.rep for c in trivial_classes] != [X * XP1]:
         problems.append("trivial unitary family not reported as the x(x+1) class")
 

@@ -99,6 +99,12 @@ def test_mersenne_lines(capsys):
     assert rows[0]["poly"] == "x^2+x+1" and rows[0]["degree"] == 2
 
 
+def test_mersenne_refuses_a_degree_below_2(capsys):
+    assert main(["mersenne", "--max-degree", "1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == "error: --max-degree must be at least 2\n"
+
+
 def test_verify_exit_codes_and_filter(capsys):
     code, out = run_cli(capsys, "verify", "--max-degree", "4", "--max-h", "1", "--format", "json")
     assert code == 0
@@ -117,28 +123,35 @@ def tier1_pins(command):
     return [(list(row.argv), row.sha256, row.lines) for row in rows]
 
 
-@pytest.mark.parametrize("argv, sha256, lines", tier1_pins("verify"))
-def test_verify_json_digest(capsys, argv, sha256, lines):
+def check_digest(capsys, argv, sha256, lines):
     code, out = run_cli(capsys, *argv)
     assert code == 0
     assert len(out.splitlines()) == lines
     assert hashlib.sha256(out.encode()).hexdigest() == sha256
+
+
+@pytest.mark.parametrize("argv, sha256, lines", tier1_pins("verify"))
+def test_verify_json_digest(capsys, argv, sha256, lines):
+    check_digest(capsys, argv, sha256, lines)
 
 
 @pytest.mark.parametrize("argv, sha256, lines", tier1_pins("search"))
 def test_search_json_digest(capsys, argv, sha256, lines):
-    code, out = run_cli(capsys, *argv)
-    assert code == 0
-    assert len(out.splitlines()) == lines
-    assert hashlib.sha256(out.encode()).hexdigest() == sha256
+    # the json rows, then the text rows
+    check_digest(capsys, argv, sha256, lines)
+
+
+@pytest.mark.parametrize("argv, sha256, lines", tier1_pins("mersenne") + tier1_pins("explore-p7"))
+def test_mersenne_and_explore_digest(capsys, argv, sha256, lines):
+    check_digest(capsys, argv, sha256, lines)
 
 
 def test_pin_table_rows():
-    # the two digest tests above run every tier-1 row, in process, where no
+    # the digest tests above run every tier-1 row, in process, where no
     # row's extra environment could take effect; tests/pins.py runs the ci rows
     tier1 = [row for row in pins.PINS if row.tier == "tier1"]
     assert {row.tier for row in pins.PINS} == {"tier1", "ci"}
-    assert {row.argv[0] for row in tier1} == {"verify", "search"}
+    assert {row.argv[0] for row in tier1} == {"verify", "search", "mersenne", "explore-p7"}
     assert not any(row.env for row in tier1)
     assert len({(row.argv, row.env) for row in pins.PINS}) == len(pins.PINS)
 

@@ -313,6 +313,7 @@ def test_parse_format_round_trip():
     assert parse("0x13") == parse("x^4+x+1")
     assert parse("x^2(x+1)^3") == parse("x^2") * XP1**3
     assert parse("x^2 * (x+1) * (x^2+x+1)") == parse("x^5+x^2")
+    assert parse("x+1 ") == XP1  # trailing whitespace ends the tokens
     assert format_poly(ZERO) == "0"
     assert format_poly(ONE) == "1"
     rng = random.Random(31)
@@ -326,6 +327,8 @@ def test_parse_errors():
     for bad in ("", "  ", "x^", "2x", "x+", "y", "(x+1", "x^2++1", "x^-1", *deep):
         with pytest.raises(ValueError):
             parse(bad)
+    with pytest.raises(ValueError, match="trailing input in polynomial expression"):
+        parse("x)")
     assert parse("(" * 100 + "x" + ")" * 100) == X
     # digits are ASCII 0-9 only: Arabic-Indic twelve, and a long run of
     # Arabic-Indic zeros before an ASCII 3, are refused as characters

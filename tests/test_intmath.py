@@ -1,6 +1,7 @@
 import pytest
 
-from gf2perfect._intmath import is_mersenne_prime_exponent, is_prime
+from gf2perfect import _intmath
+from gf2perfect._intmath import factorize_int, is_mersenne_prime_exponent, is_prime
 
 
 def test_mersenne_exponent_agrees_with_miller_rabin_below_2_64():
@@ -22,3 +23,15 @@ def test_is_prime_refuses_beyond_its_proven_range():
         is_prime((1 << 64) + 13)
     with pytest.raises(ValueError):
         is_prime(1 << 64)
+
+
+def test_factorize_int_splits_mersenne_numbers_with_rho(monkeypatch):
+    # each 2^r - 1 here keeps a composite cofactor past trial division, so
+    # only Pollard's rho can split it; sympy shares no code with _intmath
+    sympy = pytest.importorskip("sympy")
+    rho, calls = _intmath._pollard_rho, []
+    monkeypatch.setattr(_intmath, "_pollard_rho", lambda n: calls.append(n) or rho(n))
+    for r in (29, 37, 41, 43, 47, 53, 59, 62, 64):
+        calls.clear()
+        assert factorize_int((1 << r) - 1) == sympy.factorint((1 << r) - 1), r
+        assert calls, r

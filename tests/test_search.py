@@ -135,21 +135,21 @@ def bruteforce_at_20(mode):
 
 def test_bruteforce_classification_at_degree_20():
     # the exhaustive route, assuming nothing about the odd primes
-    report = classify_hits(bruteforce_at_20("perfect"), "perfect")
+    classes = classify_hits(bruteforce_at_20("perfect"), "perfect")
     trivial = {(X * XP1) ** (2**n - 1) for n in range(1, 4)}  # degree 2, 6, 14
     known = {CAT.lookup(f"T{i}") for i in range(1, 10)}
     sporadic = parse("x(x+1)^2(x^2+x+1)^2(x^4+x+1)")
-    assert len(report.classes) == 14
-    assert {c.rep for c in report.classes if c.trivial} == trivial
-    assert {c.rep for c in report.classes if c.in_catalog} == known
-    assert {c.rep for c in report.flagged} == {sporadic, sporadic.bar()}
+    assert len(classes) == 14
+    assert {c.rep for c in classes if c.trivial} == trivial
+    assert {c.rep for c in classes if c.in_catalog} == known
+    assert {c.rep for c in classes if c.outside_scope} == {sporadic, sporadic.bar()}
 
 
 def test_bruteforce_unitary_classification_at_degree_20():
-    report = classify_hits(bruteforce_at_20("unitary"), "unitary")
-    assert len(report.classes) == 9
-    assert len(report.flagged) == 2
-    assert all(c.in_catalog or c.trivial or c.outside_scope for c in report.classes)
+    classes = classify_hits(bruteforce_at_20("unitary"), "unitary")
+    assert len(classes) == 9
+    assert len([c for c in classes if c.outside_scope]) == 2
+    assert all(c.in_catalog or c.trivial or c.outside_scope for c in classes)
 
 
 @pytest.mark.parametrize("mode", ["perfect", "unitary"])
@@ -194,7 +194,7 @@ def test_packed_part_sums_decode():
                 for e, packed in table.items():
                     fields = [packed >> width * i & ((1 << width) - 1) for i in range(len(index))]
                     assert packed >> width * len(index) == 0
-                    assert {p: m for p, m in zip(index, fields) if m} == dict(factorize(divisor_sum(base**e)).factors)
+                    assert {p: m for p, m in zip(index, fields) if m} == dict(factorize(divisor_sum(base**e)))
 
 
 def search_by_recursion(max_degree, mode):
@@ -326,7 +326,7 @@ def test_scan_matches_the_recursion_on_synthetic_tables(monkeypatch):
 def test_classification_at_degree_40():
     def classes(mode):
         hits = search_structured(40, mode)
-        return classify_hits(hits, mode).classes
+        return classify_hits(hits, mode)
 
     perfect = classes("perfect")
     trivial = {(X * XP1) ** (2**n - 1) for n in range(1, 5)}  # degree 2, 6, 14, 30
@@ -346,10 +346,10 @@ def test_classification_at_degree_40():
 @pytest.mark.parametrize("mode, degree, count", [("perfect", 60, 13), ("unitary", 48, 10)])
 def test_classification_beyond_degree_40(mode, degree, count):
     # the same classes as at degree 40: no class has degree 41 to 60 (perfect) or 48 (unitary)
-    report = classify_hits(search_structured(degree, mode), mode)
-    assert len(report.classes) == count
-    assert report.flagged == ()
-    assert all(c.in_catalog or c.trivial for c in report.classes)
+    classes = classify_hits(search_structured(degree, mode), mode)
+    assert len(classes) == count
+    assert not any(c.outside_scope for c in classes)
+    assert all(c.in_catalog or c.trivial for c in classes)
 
 
 @cache
@@ -361,18 +361,18 @@ def test_classification_at_degree_128():
     perfect = classify_hits(structured_at_128("perfect"), "perfect")
     trivial = {(X * XP1) ** (2**n - 1) for n in range(1, 7)}  # degree 2, 6, ..., 126
     known = {CAT.lookup(f"T{i}") for i in range(1, 10)}
-    assert len(perfect.classes) == 15
-    assert {c.rep for c in perfect.classes} == trivial | known
+    assert len(perfect) == 15
+    assert {c.rep for c in perfect} == trivial | known
 
     unitary = classify_hits(structured_at_128("unitary"), "unitary")
     known = {canonical_class_rep(CAT.lookup(f"B{i}")) for i in range(1, 10)}
-    assert len(unitary.classes) == 10
-    assert {c.rep for c in unitary.classes} == {X * XP1} | known
+    assert len(unitary) == 10
+    assert {c.rep for c in unitary} == {X * XP1} | known
 
-    for mode, report in (("perfect", perfect), ("unitary", unitary)):
-        assert report.flagged == ()
-        assert all(c.in_catalog or c.trivial for c in report.classes)
-        assert all(check(p, mode).verdict for c in report.classes for p in c.members)
+    for mode, classes in (("perfect", perfect), ("unitary", unitary)):
+        assert not any(c.outside_scope for c in classes)
+        assert all(c.in_catalog or c.trivial for c in classes)
+        assert all(check(p, mode).verdict for c in classes for p in c.members)
 
 
 @pytest.mark.parametrize("mode", ["perfect", "unitary"])
@@ -383,7 +383,7 @@ def test_no_hit_splits_into_two_perfect_parts(mode):
     hits = set(bruteforce_at_20(mode)) | set(structured_at_128(mode))
     for a in hits:
         assert a.valuation(X) > 0 and a.valuation(XP1) > 0, a
-    assert all(not c.decomposable for c in classify_hits(sorted(hits), mode).classes)
+    assert all(not c.decomposable for c in classify_hits(sorted(hits), mode))
 
 
 def indecomposable_by_definition(a, mode):
@@ -419,9 +419,9 @@ def test_bar_closure_of_hits():
 
 def test_classify_groups_powers():
     b1 = CAT.lookup("B1")
-    report = classify_hits([b1, b1**2], "unitary")
-    assert len(report.classes) == 1
-    cls = report.classes[0]
+    classes = classify_hits([b1, b1**2], "unitary")
+    assert len(classes) == 1
+    cls = classes[0]
     assert cls.members == (b1, b1**2)
     assert cls.in_catalog and not cls.trivial and not cls.outside_scope
 
@@ -430,14 +430,13 @@ def test_classify_flags_non_mersenne():
     # the degree-16 unitary perfect with the non-Mersenne prime x^4+x+1
     sporadic = parse("x^3(x+1)^3(x^2+x+1)^3(x^4+x+1)")
     assert sigma_star(sporadic) == sporadic
-    report = classify_hits([sporadic], "unitary")
-    assert report.classes[0].outside_scope
-    assert report.flagged == (report.classes[0],)
+    classes = classify_hits([sporadic], "unitary")
+    assert classes[0].outside_scope
+    assert tuple(c for c in classes if c.outside_scope) == (classes[0],)
 
 
 def test_classify_perfect_hits_are_singletons():
     hits = search_structured(16, "perfect")
-    report = classify_hits(hits, "perfect")
-    nontrivial = report.nontrivial
+    nontrivial = [c for c in classify_hits(hits, "perfect") if not c.trivial]
     assert all(len(c.members) == 1 for c in nontrivial)
     assert sum(c.in_catalog for c in nontrivial) == 7  # T1..T7 fit in degree 16

@@ -6,6 +6,7 @@ from functools import lru_cache
 import pytest
 
 from gf2perfect import factor, verify
+from gf2perfect._intmath import euler_phi
 from gf2perfect.divisors import sigma
 from gf2perfect.factor import Factorization
 from gf2perfect.gf2poly import ONE, X, Poly, parse
@@ -183,6 +184,12 @@ def _split(*factors):
             lambda rec: rec._replace(fact=_split((CAT.lookup("M1"), 1))),
             id="thm1.2",
         ),
+        # a prime at multiplicity 2, whatever the other primes are
+        pytest.param(
+            check_sigma_even_power,
+            lambda rec: rec._replace(fact=_split((rec.fact[0][0], 2), *rec.fact[1:])),
+            id="thm1.2-repeated",
+        ),
         pytest.param(check_p_reduction, lambda rec: rec._replace(s=rec.s + X), id="lemma3.4"),
         # alpha_1 of s flipped
         pytest.param(
@@ -263,6 +270,12 @@ def test_checker_fails_on_its_own_record_broken(check, record, break_claim):
             lambda m: factor.count_irreducibles(m) + (m == 5),
             id="lemma3.7",
         ),
+        # each of the other counting facts broken alone: the totient reaches
+        # N(6) = 9, the lower bound is never met, and degree 7's Mersenne
+        # primes outnumber a totient of 0
+        pytest.param(check_counting, "euler_phi", lambda m: euler_phi(m) + 9 * (m == 6), id="lemma3.7-totient"),
+        pytest.param(check_counting, "_exceeds_isqrt_bound", lambda n2, m: False, id="lemma3.7-lower-bound"),
+        pytest.param(check_counting, "euler_phi", lambda m: 0 if m == 7 else euler_phi(m), id="lemma3.7-mersenne-count"),
     ],
 )
 def test_one_off_checker_fails_on_a_range_that_breaks_its_claim(monkeypatch, check, name, value):
@@ -470,9 +483,9 @@ def test_run_all_cold_workers_factor_each_piece_once(monkeypatch):
     assert len(primes) > len(repeated)
 
 
-def test_run_all_pool_maps_primes_that_check_nothing(monkeypatch):
-    # the pool gets every Mersenne prime of the grid; cor3.17 reads
-    # x^3+x+1 alone, so 12 of the 13 primes of degree <= 8 return no report
+def test_run_all_maps_only_the_primes_a_claim_reads(monkeypatch):
+    # cor3.17 reads x^3+x+1 alone, so of the 13 primes of degree <= 8 only
+    # it is mapped: --jobs 2 builds no pool and checks that one prime once
     serial = run_all(8, 5, claim="cor3.17")
     check_prime = verify._check_prime
     returned = []
@@ -486,8 +499,8 @@ def test_run_all_pool_maps_primes_that_check_nothing(monkeypatch):
     monkeypatch.setattr(verify.os, "cpu_count", lambda: 2)
     monkeypatch.setattr(verify, "_check_prime", spy)
     assert run_all(8, 5, jobs=2, claim="cor3.17") == serial
-    assert SerialPool.sizes == [2]
-    assert len(returned) == 13 and [len(rs) for rs in returned].count(0) == 12
+    assert SerialPool.sizes == []
+    assert len(returned) == 1 and len(returned[0]) == 5
     assert [r.params["M"] for r in serial] == ["x^3+x+1"] * 5
 
 
