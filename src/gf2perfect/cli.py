@@ -23,7 +23,8 @@ import sys
 from . import divisors, search, verify
 from .factor import factorize
 from .gf2poly import BudgetError, Poly
-from .mersenne import catalog, enumerate_mersenne_primes, parse_named
+# catalog is unused here, but bench/run.py's set-up probe calls cli.catalog()
+from .mersenne import MersennePrime, catalog, enumerate_mersenne_primes, is_mersenne_prime, parse_named
 
 
 def _nonzero_poly_arg(text: str) -> Poly:
@@ -177,7 +178,10 @@ def _cmd_search(args):
 
 def _cmd_explore_p7(args):
     p = _nonzero_poly_arg(args.poly)
-    coeffs = verify.explore_alpha_u6(catalog().mersenne_witness(p))
+    form = is_mersenne_prime(p)
+    if form is None:
+        raise ValueError(f"{p} is not a Mersenne prime")
+    coeffs = verify.explore_alpha_u6(MersennePrime(*form, p))
     if args.odd_only:
         coeffs = [(l, c) for l, c in coeffs if l % 2]
     if args.format == "json":

@@ -17,9 +17,6 @@ from .gf2poly import ONE, X, BudgetError, Poly
 #: is_indecomposable enumerates 2^omega coprime splits; cap omega here.
 INDECOMPOSABLE_OMEGA_CAP = 20
 
-MODE_SIGMA = "sigma"
-MODE_SIGMA_STAR = "sigma_star"
-
 
 class PerfectionReport(NamedTuple):
     """Verdict of the sigma(A) = A (or sigma*(A) = A) test.
@@ -124,20 +121,10 @@ def check(a: Poly, mode: str) -> PerfectionReport:
     if not a or a.degree < 1:
         raise ValueError("perfection is defined for nonconstant polynomials")
     s = sigma_of_factored(factorize(a), unitary)
-    report_mode = MODE_SIGMA_STAR if unitary else MODE_SIGMA
+    report_mode = "sigma_star" if unitary else "sigma"
     if s == a:
         return PerfectionReport(a, report_mode, True)
     return PerfectionReport(a, report_mode, False, _witness(a, s))
-
-
-def is_perfect(a: Poly) -> PerfectionReport:
-    """Test sigma(a) = a, with a disagreeing prime-power pair on failure."""
-    return check(a, "perfect")
-
-
-def is_unitary_perfect(a: Poly) -> PerfectionReport:
-    """Test sigma*(a) = a, with a disagreeing prime-power pair on failure."""
-    return check(a, "unitary")
 
 
 def is_indecomposable(a: Poly, mode: str = "perfect") -> bool:

@@ -198,18 +198,6 @@ class Poly:
             return NEG_INFINITY
         return self._mask.bit_length() - 1
 
-    @classmethod
-    def monomial(cls, k: int) -> "Poly":
-        if k < 0:
-            raise ValueError("exponent must be nonnegative")
-        return cls(1 << k)
-
-    def coeff(self, i: int) -> int:
-        """Coefficient of x^i (0 or 1)."""
-        if i < 0:
-            raise ValueError("exponent must be nonnegative")
-        return self._mask >> i & 1
-
     def alpha(self, l: int) -> int:
         """Coefficient of x^(deg - l), indexing from the leading term down."""
         if self._mask == 0:
@@ -303,12 +291,6 @@ class Poly:
 
     def __le__(self, other):
         return self._mask <= other._mask
-
-    def __gt__(self, other):
-        return self._mask > other._mask
-
-    def __ge__(self, other):
-        return self._mask >= other._mask
 
     def __hash__(self):
         return hash(self._mask)

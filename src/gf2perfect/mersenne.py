@@ -161,15 +161,6 @@ class Catalog:
         except KeyError:
             raise ValueError(f"unknown catalog name {name!r}") from None
 
-    def aliases(self) -> dict[str, Poly]:
-        return dict(self._entries)
-
-    def mersenne_witness(self, p: Poly) -> MersennePrime:
-        form = is_mersenne_prime(p)
-        if form is None:
-            raise ValueError(f"{p} is not a Mersenne prime")
-        return MersennePrime(form[0], form[1], p)
-
 
 @cache
 def catalog() -> Catalog:
@@ -179,4 +170,4 @@ def catalog() -> Catalog:
 
 def parse_named(text: str) -> Poly:
     """Parse a polynomial expression with catalog names available."""
-    return parse(text, aliases=catalog().aliases())
+    return parse(text, aliases=catalog()._entries)

@@ -16,13 +16,14 @@ It then prints one line per mutant and the count killed, and exits 1
 unless every mutant is killed.
 
 The rows are the checkers' verdicts made never to read "fail", the exit
-code of a failing sweep, is_indecomposable's split test, and fourteen
-edits: of the factoring, of integer factoring, of the parser, of two
-checkers' failing branches, of the search and its text output, of the
-sweep's grid, split rule and pool and the primes it maps, and of verify's
-stderr note on a claim that checked nothing.  No real instance fails a
-claim, so only the negative controls in tests/test_verify.py,
-tests/test_cli.py and tests/test_divisors.py can kill the first 14.
+code of a failing sweep, is_indecomposable's split test, and fifteen
+edits: of the factoring, of integer factoring, of the parser, of the
+perfection test, of two checkers' failing branches, of the search and its
+text output, of the sweep's grid, split rule and pool and the primes it
+maps, and of verify's stderr note on a claim that checked nothing.  No
+real instance fails a claim, so only the negative controls in
+tests/test_verify.py, tests/test_cli.py and tests/test_divisors.py can
+kill the first 14.
 """
 
 import os
@@ -255,6 +256,13 @@ MUTANTS = (
         "    primes = [m for m in primes if any(_records_read(m, max_h, base))]\n",
         "",
         ("tests/test_verify.py::test_run_all_maps_only_the_primes_a_claim_reads",),
+    ),
+    Mutant(
+        "check always reports perfect",
+        "divisors.py",
+        "if s == a:",
+        "if True:",
+        ("tests/test_cli.py::test_check_pass_and_fail", "tests/test_divisors.py::test_perfection_reports"),
     ),
 )
 

@@ -63,6 +63,13 @@ PINS = (
     Pin(("search", "--mode", "unitary", "--family", "mersenne", "--max-degree", "24", "--all-powers"), "89ab674af5b69df552c504af615d527ba8dce6ce9d1a084367be0ea31069d276", 21, "tier1"),
     Pin(("mersenne", "--max-degree", "6"), "a71ac7ed7d967d9dc79fd53453bd74c751c26d7dcc19f4a578bbedd50f8f6864", 9, "tier1"),
     Pin(("explore-p7", "M2", "--format", "json"), "597bcde6af1f24fcd66155e1992dae640b58bdb50c523a43ada166909bcc85a6", 1, "tier1"),
+    # factor, sigma and check, each in both renderers or modes
+    Pin(("factor", "S1", "--format", "json"), "7358e6f364b75cfa31099ea1964d66f14c9a55faa66d5f8068b99b9f960143ea", 1, "tier1"),
+    Pin(("factor", "S2"), "29b24de9901b6c4c0aa700713b694da6f0e1be186ad15a63faf74d0740012d01", 1, "tier1"),
+    Pin(("sigma", "T8", "--format", "json"), "129d605d1431b7db6b96153da62dd32c7b45bf531cc7ca367ff1602903c94995", 1, "tier1"),
+    Pin(("sigma", "--star", "S2", "--format", "json"), "a768484083c5e78d8a7b33db592acb71273f6669718efd5e949c4e4fbf966882", 1, "tier1"),
+    Pin(("check", "--mode", "perfect", "T8", "--format", "json"), "14447ac8523732e98260ac95b939ee8e6294b36b6446f2806e4715dc189d02bc", 1, "tier1"),
+    Pin(("check", "--mode", "unitary", "B7", "--format", "json"), "faad7bed108e506f3677de7aa4ed51abf753f3daf648265e34d73ab6041b13c2", 1, "tier1"),
     # the full sweep, serial and sharded, under two hash seeds; bench/run.py
     # keeps its own copy of this digest
     Pin(_verify(8, 60, "--jobs", "1"), _SWEEP_8_60, 6121, "ci", (("PYTHONHASHSEED", "0"),)),

@@ -11,7 +11,7 @@ import sys
 import time
 
 from gf2perfect.cli import main as cli_main
-from gf2perfect.divisors import is_perfect, is_unitary_perfect, sigma, sigma_star
+from gf2perfect.divisors import check, sigma, sigma_star
 from gf2perfect import euler_phi
 from gf2perfect.factor import count_irreducibles, factorize, is_irreducible
 from gf2perfect.divisors import canonical_class_rep
@@ -38,7 +38,7 @@ def test_criterion_01_nine_perfects():
         t = CAT.lookup(f"T{i}")
         if sigma(t) != t:
             problems.append(f"sigma(T{i}) != T{i}")
-        if not is_perfect(t).verdict:
+        if not check(t, "perfect").verdict:
             problems.append(f"report false for T{i}")
         if cli_main(["check", "--mode", "perfect", f"T{i}"]) != 0:
             problems.append(f"cli exit for T{i}")
@@ -67,10 +67,10 @@ def test_criterion_02_nine_unitary_classes():
 
 def test_criterion_03_counterexamples():
     problems = []
-    r1 = is_perfect(CAT.lookup("S1"))
+    r1 = check(CAT.lookup("S1"), "perfect")
     if r1.verdict or r1.witness != (X, 13, 7):
         problems.append(f"S1 report {r1.verdict} {r1.witness}")
-    r2 = is_unitary_perfect(CAT.lookup("S2"))
+    r2 = check(CAT.lookup("S2"), "unitary")
     if r2.verdict or r2.witness != (X, 14, 10):
         problems.append(f"S2 report {r2.verdict} {r2.witness}")
     if cli_main(["check", "--mode", "perfect", "S1"]) != 1:

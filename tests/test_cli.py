@@ -146,12 +146,17 @@ def test_mersenne_and_explore_digest(capsys, argv, sha256, lines):
     check_digest(capsys, argv, sha256, lines)
 
 
+@pytest.mark.parametrize("argv, sha256, lines", tier1_pins("factor") + tier1_pins("sigma") + tier1_pins("check"))
+def test_factor_sigma_and_check_digest(capsys, argv, sha256, lines):
+    check_digest(capsys, argv, sha256, lines)
+
+
 def test_pin_table_rows():
     # the digest tests above run every tier-1 row, in process, where no
     # row's extra environment could take effect; tests/pins.py runs the ci rows
     tier1 = [row for row in pins.PINS if row.tier == "tier1"]
     assert {row.tier for row in pins.PINS} == {"tier1", "ci"}
-    assert {row.argv[0] for row in tier1} == {"verify", "search", "mersenne", "explore-p7"}
+    assert {row.argv[0] for row in tier1} == {"verify", "search", "mersenne", "explore-p7", "factor", "sigma", "check"}
     assert not any(row.env for row in tier1)
     assert len({(row.argv, row.env) for row in pins.PINS}) == len(pins.PINS)
 
@@ -262,7 +267,8 @@ def test_explore_p7(capsys):
     code, out = run_cli(capsys, "explore-p7", "M2", "--odd-only")
     assert code == 0
     assert "odd l with alpha_l = 0" in out
-    assert run_cli(capsys, "explore-p7", "x^6+x+1")[0] == 2  # not Mersenne
+    assert main(["explore-p7", "x^6+x+1"]) == 2  # not Mersenne
+    assert capsys.readouterr().err == "error: x^6+x+1 is not a Mersenne prime\n"
 
 
 def test_out_file(tmp_path, capsys):

@@ -9,15 +9,13 @@ from gf2perfect.divisors import (
     exact_power,
     factor_sigma_prime_power,
     is_indecomposable,
-    is_perfect,
-    is_unitary_perfect,
     sigma,
     sigma_prime_power,
     sigma_star,
 )
 from gf2perfect.factor import factorize, is_irreducible
 from gf2perfect.gf2poly import ONE, X, XP1, BudgetError, Poly, gcd, parse
-from gf2perfect.mersenne import catalog
+from gf2perfect.mersenne import catalog, enumerate_mersenne_primes
 from oracles import _sigma_prime_power_naive, is_even_poly, sigma_oracle, sigma_star_oracle
 
 CAT = catalog()
@@ -38,6 +36,21 @@ def test_sigma_closed_form_vs_horner():
         p = rng.choice(primes)
         n = rng.randrange(1, 9)
         assert sigma_prime_power(p, n) == _sigma_prime_power_naive(p, n)
+
+
+def test_split_of_a_conjugate_is_the_conjugate_of_the_split():
+    # x -> x+1 (bar) is a degree-preserving ring automorphism, so it maps
+    # primes to primes and sigma(bar(M)^n) = bar(sigma(M^n)), in both modes:
+    # a split of a Mersenne prime's twin could be read off its partner's
+    primes = enumerate_mersenne_primes(7)
+    cases = 0
+    for m in primes:
+        for n in range(41):
+            for unitary in (False, True):
+                mapped = sorted((p.bar(), e) for p, e in factor_sigma_prime_power(m.poly, n, unitary))
+                assert factor_sigma_prime_power(m.poly.bar(), n, unitary) == tuple(mapped), (m, n, unitary)
+                cases += 1
+    assert (len(primes), cases) == (13, 1066)
 
 
 @pytest.mark.parametrize("unitary", [False, True])
@@ -135,29 +148,29 @@ def test_lemma_2_12_identity():
 
 def test_perfection_reports():
     t8 = CAT.lookup("T8")
-    assert is_perfect(t8).verdict
+    assert check(t8, "perfect").verdict
     trivial = (X * XP1) ** 15
-    assert is_perfect(trivial).verdict
-    r = is_perfect(CAT.lookup("S1"))
+    assert check(trivial, "perfect").verdict
+    r = check(CAT.lookup("S1"), "perfect")
     assert not r.verdict
     assert r.witness == (X, 13, 7)
 
 
 def test_unitary_perfection_reports():
-    assert is_unitary_perfect(CAT.lookup("B1")).verdict
-    r = is_unitary_perfect(CAT.lookup("S2"))
+    assert check(CAT.lookup("B1"), "unitary").verdict
+    r = check(CAT.lookup("S2"), "unitary")
     assert not r.verdict
     assert r.witness == (X, 14, 10)
-    assert is_unitary_perfect(CAT.lookup("B7") ** 2).verdict
+    assert check(CAT.lookup("B7") ** 2, "unitary").verdict
 
 
 @pytest.mark.parametrize("a", [Poly(0), ONE])
 def test_check_refuses_constants(a):
     # sigma*(1) = 1 would make 1 unitary perfect, against the paper's lemma
     # that every unitary perfect polynomial is even
-    for fn in (is_perfect, is_unitary_perfect):
+    for mode in ("perfect", "unitary"):
         with pytest.raises(ValueError, match="nonconstant"):
-            fn(a)
+            check(a, mode)
 
 
 def test_witness_invariant():

@@ -77,7 +77,7 @@ def sympy_factors(p):
     galoistools = pytest.importorskip("sympy.polys.galoistools")
     from sympy.polys.domains import ZZ
 
-    coeffs = [ZZ(p.coeff(i)) for i in range(int(p.degree), -1, -1)]
+    coeffs = [ZZ(p.mask >> i & 1) for i in range(int(p.degree), -1, -1)]
     _, factors = galoistools.gf_factor(coeffs, 2, ZZ)
     return sorted((Poly(int("".join(str(int(c)) for c in q), 2)), m) for q, m in factors)
 
@@ -122,6 +122,24 @@ def test_factorize_composed_matches_factorize_of_the_whole():
         factorize_composed(Poly(0), m1)
 
 
+def test_every_prime_of_a_composition_has_degree_divisible_by_the_outer_degree():
+    # For q irreducible of degree e and P nonconstant, a root b of a prime
+    # r | q(P) makes P(b) a root of q, so GF(2^e) lies in GF(2)(b) = GF(2^deg r)
+    # and e | deg r (Lidl & Niederreiter, Finite Fields, ch. 2).  A
+    # distinct-degree split of q(P) could then skip every degree e does not
+    # divide; here the premise is checked on factorize of q(P) built whole.
+    outer = [Poly(mask) for mask in range(2, 1 << 7) if is_irreducible(Poly(mask))]
+    cases = 0
+    for q in outer:
+        for p in map(Poly, range(2, 1 << 7)):
+            whole = Poly(0)
+            for i in range(int(q.degree), -1, -1):
+                whole = whole * p + Poly(q.mask >> i & 1)
+            assert all(r.degree % q.degree == 0 for r, _ in factorize(whole)), (q, p)
+            cases += 1
+    assert (len(outer), cases) == (23, 2898)
+
+
 def test_factorize_composed_matches_sympy_gf_factor():
     m3, m5, m6 = parse("x^3+x+1"), parse("x^5+x^3+1"), parse("x^6+x^5+1")
     cases = [
@@ -134,7 +152,7 @@ def test_factorize_composed_matches_sympy_gf_factor():
     for c, p in cases:
         whole = Poly(0)
         for i in range(int(c.degree), -1, -1):
-            whole = whole * p + Poly(c.coeff(i))
+            whole = whole * p + Poly(c.mask >> i & 1)
         assert whole.degree <= 120
         assert list(factorize_composed(c, p)) == sympy_factors(whole), (c, p)
 

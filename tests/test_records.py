@@ -11,7 +11,7 @@ import pytest
 import gf2perfect
 from gf2perfect.factor import Factorization, factorize
 from gf2perfect.gf2poly import X, XP1, parse
-from gf2perfect.mersenne import catalog
+from gf2perfect.mersenne import MersennePrime, catalog
 from gf2perfect.verify import TheoremReport, sigma_record
 
 
@@ -28,9 +28,9 @@ def test_cli_import_does_not_load_dataclasses():
 
 RECORDS = [
     (lambda: factorize(parse("x^3+x")), "factors"),
-    (lambda: catalog().mersenne_witness(catalog().lookup("M2")), "a"),
+    (lambda: MersennePrime(1, 2, catalog().lookup("M2")), "a"),
     (lambda: TheoremReport("lemma3.2", {"M": "x^2+x+1"}, "pass"), "verdict"),
-    (lambda: sigma_record(catalog().mersenne_witness(catalog().lookup("M2")), 1), "fact"),
+    (lambda: sigma_record(MersennePrime(1, 2, catalog().lookup("M2")), 1), "fact"),
 ]
 
 

@@ -2,9 +2,11 @@
 
 bench/trace_launch.py wraps library functions by name without editing the
 source, so a rename or a signature change in src/ can silently blind it.
+bench/run.py's set-up probe likewise names a library function.
 """
 
 import hashlib
+import importlib.util
 import json
 import os
 import subprocess
@@ -52,3 +54,14 @@ def test_traced_search_matches_untraced_and_counts_the_divisors_layer(tmp_path):
     assert stdout == untraced.stdout
     for name in ("divisors.check", "divisors.is_indecomposable", "divisors.canonical_class_rep"):
         assert aggregates[name]["calls"] > 0, name
+
+
+def test_setup_probe_runs_on_this_checkout(monkeypatch):
+    # bench/run.py counts a probe that fails as a failed operation
+    spec = importlib.util.spec_from_file_location("bench_run", ROOT / "bench" / "run.py")
+    bench_run = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, bench_run)  # its dataclasses look their module up
+    spec.loader.exec_module(bench_run)
+    proc = subprocess.run([sys.executable, "-c", bench_run.SETUP_PROBE], capture_output=True, text=True, env=env_with_src())
+    assert proc.returncode == 0, proc.stderr
+    assert Path(proc.stdout.strip()) == ROOT / "src" / "gf2perfect" / "__init__.py"
