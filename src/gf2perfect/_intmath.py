@@ -62,9 +62,7 @@ def is_mersenne_prime_exponent(k: int) -> bool:
 
 
 def _pollard_rho(n: int) -> int:
-    # Brent's cycle variant with a deterministic parameter schedule.
-    if n % 2 == 0:
-        return 2
+    # Brent's cycle variant with a deterministic parameter schedule; n is odd
     for c in range(1, 64):
         x = y = 2
         d = 1
@@ -90,8 +88,6 @@ def factorize_int(n: int) -> dict[int, int]:
     stack = [n] if n > 1 else []
     while stack:
         m = stack.pop()
-        if m == 1:
-            continue
         if is_prime(m):
             out[m] = out.get(m, 0) + 1
             continue
@@ -115,18 +111,3 @@ def euler_phi(n: int) -> int:
         result -= result // p
     return result
 
-
-def multiplicative_order(a: int, n: int) -> int:
-    """Order of a modulo n; requires gcd(a, n) = 1."""
-    if gcd(a, n) != 1:
-        raise ValueError("order requires the base to be invertible")
-    e = 1
-    for p, k in factorize_int(n).items():
-        pe = p**k
-        group = pe - pe // p
-        t = group
-        for q in prime_factors(group):
-            while t % q == 0 and pow(a, t // q, pe) == 1:
-                t //= q
-        e = e * t // gcd(e, t)
-    return e

@@ -209,24 +209,21 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
+    # the with statement's close flushes a file again, so the OSError it can
+    # raise is caught with the open's and the write's
     try:
         # opened (and truncated) before the command runs, as a shell redirect is
-        out = open(args.out, "w") if args.out else contextlib.nullcontext(sys.stdout)
-    except OSError as exc:
-        print(f"error: cannot write {args.out}: {exc.strerror}", file=sys.stderr)
-        return 2
-    with out as fh:
-        try:
-            lines, code = _COMMANDS[args.command](args)
-        except (ValueError, ArithmeticError, BudgetError) as exc:  # ZeroDivisionError is an ArithmeticError
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-        try:
+        with open(args.out, "w") if args.out else contextlib.nullcontext(sys.stdout) as fh:
+            try:
+                lines, code = _COMMANDS[args.command](args)
+            except (ValueError, ArithmeticError, BudgetError) as exc:  # ZeroDivisionError is an ArithmeticError
+                print(f"error: {exc}", file=sys.stderr)
+                return 2
             fh.write("\n".join(lines) + "\n" if lines else "")
             fh.flush()
-        except OSError as exc:
-            print(f"error: cannot write {args.out or 'stdout'}: {exc.strerror}", file=sys.stderr)
-            return 2
+    except OSError as exc:
+        print(f"error: cannot write {args.out or 'stdout'}: {exc.strerror}", file=sys.stderr)
+        return 2
     return code
 
 

@@ -221,8 +221,6 @@ def is_squarefree(p: Poly) -> bool:
     """
     if not p:
         raise ValueError("squarefreeness is undefined for the zero polynomial")
-    if p == ONE:
-        return True
     return gcd(p, p.derivative()) == ONE
 
 
@@ -257,7 +255,7 @@ def order_of_x(p: Poly) -> int:
     if p == X:  # x = 0 mod p has no order; degree-1 special cases
         raise ValueError("x has no multiplicative order modulo x")
     for q in _intmath.prime_factors(order):
-        while order % q == 0 and pow_mod(X, order // q, p) == ONE:
+        while order % q == 0 and pow(X, order // q, p) == ONE:
             order //= q
     return order
 
@@ -267,17 +265,3 @@ def is_primitive(p: Poly) -> bool:
     r = int(p.degree)
     return order_of_x(p) == (1 << r) - 1
 
-
-def pow_mod(base: Poly, n: int, modulus: Poly) -> Poly:
-    """base^n mod modulus for n >= 0."""
-    if n < 0:
-        raise ValueError("exponent must be nonnegative")
-    result = ONE % modulus
-    cur = base % modulus
-    while n:
-        if n & 1:
-            result = (result * cur) % modulus
-        n >>= 1
-        if n:
-            cur = cur.square() % modulus
-    return result

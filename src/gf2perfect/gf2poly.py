@@ -173,110 +173,111 @@ class Poly:
     """Immutable polynomial over GF(2), wrapping a coefficient bitmask.
 
     Supports +, *, **, divmod, //, %, << (shift by x^k) between Poly
-    values.  Comparison orders by mask, which sorts by degree first and
-    then by coefficients.
+    values, and pow(p, n, modulus).  Comparison orders by mask, which
+    sorts by degree first and then by coefficients.
     """
 
-    __slots__ = ("_mask",)
+    __slots__ = ("mask",)
 
     def __init__(self, mask: int):
         if not isinstance(mask, int) or mask < 0:
             raise ValueError("coefficient mask must be a nonnegative integer")
-        object.__setattr__(self, "_mask", mask)
+        object.__setattr__(self, "mask", mask)
 
     def __setattr__(self, name, value):
         raise AttributeError("Poly is immutable")
 
     @property
-    def mask(self) -> int:
-        return self._mask
-
-    @property
     def degree(self):
         """Degree of the polynomial; NEG_INFINITY for the zero polynomial."""
-        if self._mask == 0:
+        if self.mask == 0:
             return NEG_INFINITY
-        return self._mask.bit_length() - 1
+        return self.mask.bit_length() - 1
 
     def alpha(self, l: int) -> int:
         """Coefficient of x^(deg - l), indexing from the leading term down."""
-        if self._mask == 0:
+        if self.mask == 0:
             raise ValueError("alpha is undefined for the zero polynomial")
-        deg = self._mask.bit_length() - 1
+        deg = self.mask.bit_length() - 1
         if not 0 <= l <= deg:
             raise ValueError(f"alpha index {l} out of range 0..{deg}")
-        return self._mask >> (deg - l) & 1
+        return self.mask >> (deg - l) & 1
 
     def __add__(self, other):
-        return Poly(self._mask ^ other._mask)
+        return Poly(self.mask ^ other.mask)
 
     __sub__ = __add__
 
     def __mul__(self, other):
-        return Poly(_mul_mask(self._mask, other._mask))
+        return Poly(_mul_mask(self.mask, other.mask))
 
-    def __pow__(self, n: int):
+    def __pow__(self, n: int, modulus: "Poly | None" = None):
+        """self**n, or with pow(self, n, modulus) self^n mod modulus, reduced every step."""
         if not isinstance(n, int) or n < 0:
             raise ValueError("exponent must be a nonnegative integer")
-        base = self._mask
-        result = 1
+        base, result = self.mask, 1
+        m = None if modulus is None else modulus.mask
+        if m is not None:  # a zero modulus raises ZeroDivisionError here
+            base, result = _mod_mask(base, m), _mod_mask(1, m)
         while n:
             if n & 1:
                 result = _mul_mask(result, base)
             n >>= 1
             if n:
                 base = _sqr_mask(base)
+            if m is not None:
+                result, base = _mod_mask(result, m), _mod_mask(base, m)
         return Poly(result)
 
     def __divmod__(self, other):
-        q, r = _divmod_mask(self._mask, other._mask)
+        q, r = _divmod_mask(self.mask, other.mask)
         return Poly(q), Poly(r)
 
     def __floordiv__(self, other):
-        return Poly(_divmod_mask(self._mask, other._mask)[0])
+        return Poly(_divmod_mask(self.mask, other.mask)[0])
 
     def __mod__(self, other):
-        return Poly(_mod_mask(self._mask, other._mask))
+        return Poly(_mod_mask(self.mask, other.mask))
 
     def __lshift__(self, k: int):
         if k < 0:
             raise ValueError("shift must be nonnegative")
-        return Poly(self._mask << k)
+        return Poly(self.mask << k)
 
     def divides(self, other: "Poly") -> bool:
-        return _mod_mask(other._mask, self._mask) == 0
+        return _mod_mask(other.mask, self.mask) == 0
 
     def square(self) -> "Poly":
-        return Poly(_sqr_mask(self._mask))
+        return Poly(_sqr_mask(self.mask))
 
     def is_square(self) -> bool:
         """True iff every odd-exponent coefficient vanishes."""
-        if self._mask == 0:
+        if self.mask == 0:
             raise ValueError("zero polynomial has no square status")
-        odd = _even_positions_mask(self._mask.bit_length()) << 1
-        return self._mask & odd == 0
+        odd = _even_positions_mask(self.mask.bit_length()) << 1
+        return self.mask & odd == 0
 
     def sqrt(self) -> "Poly":
         if not self.is_square():
             raise ValueError(f"{self} is not a square")
-        return Poly(_sqrt_mask(self._mask))
+        return Poly(_sqrt_mask(self.mask))
 
     def derivative(self) -> "Poly":
-        even = _even_positions_mask(self._mask.bit_length())
-        return Poly((self._mask >> 1) & even)
+        even = _even_positions_mask(self.mask.bit_length())
+        return Poly((self.mask >> 1) & even)
 
     def bar(self) -> "Poly":
         """Composition with x+1; an involution and ring homomorphism."""
-        return Poly(_bar_mask(self._mask))
+        return Poly(_bar_mask(self.mask))
 
     def valuation(self, at: "Poly") -> int:
         """Largest e such that at^e divides self, for at in {x, x+1}."""
-        if self._mask == 0:
+        if self.mask == 0:
             raise ValueError("valuation is undefined for the zero polynomial")
         if at == X:
-            m = self._mask
+            m = self.mask
         elif at == XP1:
-            m = _bar_mask(self._mask)
+            m = _bar_mask(self.mask)
         else:
             raise ValueError("valuation is only defined at x and x+1")
         return (m & -m).bit_length() - 1
@@ -284,28 +285,41 @@ class Poly:
     def __eq__(self, other):
         if not isinstance(other, Poly):
             return NotImplemented
-        return self._mask == other._mask
+        return self.mask == other.mask
 
     def __lt__(self, other):
-        return self._mask < other._mask
+        return self.mask < other.mask
 
     def __le__(self, other):
-        return self._mask <= other._mask
+        return self.mask <= other.mask
 
     def __hash__(self):
-        return hash(self._mask)
+        return hash(self.mask)
 
     def __bool__(self):
-        return self._mask != 0
+        return self.mask != 0
 
     def __reduce__(self):
-        return (Poly, (self._mask,))
+        return (Poly, (self.mask,))
 
     def __str__(self):
-        return format_poly(self)
+        """Canonical descending-power expression, e.g. 'x^4+x^3+1'."""
+        m = self.mask
+        if m == 0:
+            return "0"
+        terms = []
+        for i in range(m.bit_length() - 1, -1, -1):
+            if m >> i & 1:
+                if i == 0:
+                    terms.append("1")
+                elif i == 1:
+                    terms.append("x")
+                else:
+                    terms.append(f"x^{i}")
+        return "+".join(terms)
 
     def __repr__(self):
-        return f"Poly({format_poly(self)!r})"
+        return f"Poly({str(self)!r})"
 
 
 ZERO = Poly(0)
@@ -319,23 +333,6 @@ def gcd(p: Poly, q: Poly) -> Poly:
     if not p and not q:
         raise ValueError("gcd(0, 0) is undefined")
     return Poly(_gcd_mask(p.mask, q.mask))
-
-
-def format_poly(p: Poly) -> str:
-    """Canonical descending-power expression, e.g. 'x^4+x^3+1'."""
-    m = p.mask
-    if m == 0:
-        return "0"
-    terms = []
-    for i in range(m.bit_length() - 1, -1, -1):
-        if m >> i & 1:
-            if i == 0:
-                terms.append("1")
-            elif i == 1:
-                terms.append("x")
-            else:
-                terms.append(f"x^{i}")
-    return "+".join(terms)
 
 
 _TOKEN = re.compile(

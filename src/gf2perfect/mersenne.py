@@ -68,8 +68,9 @@ def enumerate_mersenne_primes(max_degree: int) -> list[MersennePrime]:
     x -> x+1 is a ring automorphism, which maps 1 + x^a (x+1)^b to
     1 + x^b (x+1)^a, so the one is irreducible iff the other is: only
     a <= b is tested, and each prime found brings its image.  The images
-    are put in place, not appended, since the structured search numbers
-    its primes in this order and verify sweeps them in it.
+    are put in place, not appended, to keep the documented (degree, a)
+    order, which `gf2perfect mersenne` prints and verify's worker pool
+    reads backwards to start the largest degrees first.
     """
     if max_degree < 2:
         raise ValueError("Mersenne primes have degree at least 2")
@@ -90,7 +91,12 @@ def ord2(p: int) -> int:
     """Multiplicative order of 2 modulo an odd prime p."""
     if p == 2 or not _intmath.is_prime(p):
         raise ValueError("ord2 requires an odd prime")
-    return _intmath.multiplicative_order(2, p)
+    # the order divides p - 1: divide t down by each prime q while 2^(t/q) = 1
+    t = p - 1
+    for q in _intmath.prime_factors(t):
+        while t % q == 0 and pow(2, t // q, p) == 1:
+            t //= q
+    return t
 
 
 def in_delta(p: int) -> bool:

@@ -26,7 +26,7 @@ from ._intmath import euler_phi
 from .divisors import factor_sigma_prime_power, sigma_of_factored, sigma_prime_power
 from .factor import Factorization, count_irreducibles, is_irreducible, is_primitive
 from .gf2poly import X, XP1, Poly
-from .mersenne import MersennePrime, catalog, enumerate_mersenne_primes, in_delta, mersenne_form, mersenne_poly
+from .mersenne import MersennePrime, catalog, enumerate_mersenne_primes, in_delta, mersenne_form, mersenne_poly, ord2
 
 #: Cap on deg(M^2h) for swept instances.
 DEGREE_BUDGET = 2048
@@ -217,7 +217,8 @@ def check_alpha3_u2(rec: SigmaRecord) -> TheoremReport:
 
 
 def _irreducibles_of_degree(r: int):
-    return [Poly(mask) for mask in range(1 << r, 1 << (r + 1)) if is_irreducible(Poly(mask))]
+    # the irreducibles of degree r in increasing mask order, found lazily
+    return filter(is_irreducible, map(Poly, range(1 << r, 2 << r)))
 
 
 def check_degree_m_divisors(rec: SigmaRecord) -> TheoremReport:
@@ -255,7 +256,7 @@ def check_order_divides_degrees(rec: SigmaRecord) -> TheoremReport:
     params = _m_params(rec.m, h=rec.h)
     if not _intmath.is_prime(p):
         return TheoremReport("lemma3.8", params, "out_of_scope", {"p": p})
-    o = _intmath.multiplicative_order(2, p)
+    o = ord2(p)
     bad = [str(q) for q, _ in rec.fact if int(q.degree) % o]
     return TheoremReport("lemma3.8", params, "fail" if bad else "pass", {"ord": o, "violations": bad})
 
@@ -307,8 +308,7 @@ def check_primitivity() -> TheoremReport:
     _PRIMITIVE_SAMPLES irreducibles in increasing mask order."""
     sampled_degree = _PRIMITIVE_SAMPLED_DEGREE
     exhaustive = [q for r in _PRIMITIVE_EXHAUSTIVE_DEGREES for q in _irreducibles_of_degree(r)]
-    odd_masks = range((1 << sampled_degree) | 1, 2 << sampled_degree, 2)
-    sampled = islice(filter(is_irreducible, map(Poly, odd_masks)), _PRIMITIVE_SAMPLES)
+    sampled = islice(_irreducibles_of_degree(sampled_degree), _PRIMITIVE_SAMPLES)
     bad = [str(q) for q in chain(exhaustive, sampled) if not is_primitive(q)]
     params = {"exhaustive": list(_PRIMITIVE_EXHAUSTIVE_DEGREES), "sampled_degree": sampled_degree}
     return TheoremReport("lemma3.9", params, "fail" if bad else "pass", {"violations": bad})

@@ -16,11 +16,13 @@ It then prints one line per mutant and the count killed, and exits 1
 unless every mutant is killed.
 
 The rows are the checkers' verdicts made never to read "fail", the exit
-code of a failing sweep, is_indecomposable's split test, and fifteen
+code of a failing sweep, is_indecomposable's split test, and nineteen
 edits: of the factoring, of integer factoring, of the parser, of the
 perfection test, of two checkers' failing branches, of the search and its
 text output, of the sweep's grid, split rule and pool and the primes it
-maps, and of verify's stderr note on a claim that checked nothing.  No
+maps, of verify's stderr note on a claim that checked nothing, of the
+order of 2, the enumeration's images and the Delta test in mersenne, and
+of the modular reduction in pow.  No
 real instance fails a claim, so only the negative controls in
 tests/test_verify.py, tests/test_cli.py and tests/test_divisors.py can
 kill the first 14.
@@ -263,6 +265,34 @@ MUTANTS = (
         "if s == a:",
         "if True:",
         ("tests/test_cli.py::test_check_pass_and_fail", "tests/test_divisors.py::test_perfection_reports"),
+    ),
+    Mutant(
+        "ord2 never divides t down",
+        "mersenne.py",
+        "while t % q == 0 and pow(2, t // q, p) == 1:",
+        "while False:",
+        ("tests/test_mersenne.py::test_ord2_is_the_brute_force_order_below_3000",),
+    ),
+    Mutant(
+        "the enumeration drops the images",
+        "mersenne.py",
+        "for a in low + [degree - a for a in reversed(low) if 2 * a != degree]:",
+        "for a in low:",
+        ("tests/test_mersenne.py::test_enumerate_matches_catalog_at_degree_4",),
+    ),
+    Mutant(
+        "in_delta loses its Mersenne-number branch",
+        "mersenne.py",
+        "    if (p + 1) & p == 0:  # p = 2^k - 1\n        return True\n",
+        "",
+        ("tests/test_mersenne.py::test_in_delta",),
+    ),
+    Mutant(
+        "pow with a modulus skips reducing the base",
+        "gf2poly.py",
+        "result, base = _mod_mask(result, m), _mod_mask(base, m)",
+        "result = _mod_mask(result, m)",
+        ("tests/test_gf2poly.py::test_pow_with_a_modulus_multiplies_reduced_operands",),
     ),
 )
 

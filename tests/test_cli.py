@@ -3,6 +3,7 @@ import json
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -288,6 +289,16 @@ def test_out_unwritable_exits_2(tmp_path, capsys, where):
     assert captured.err.startswith(f"error: cannot write {target}:")
     assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
 
+
+
+@pytest.mark.skipif(not Path("/dev/full").exists(), reason="needs /dev/full")
+def test_out_on_a_full_device_exits_2(capsys):
+    # the write fits the file's buffer, so the error comes from its flush,
+    # and again from the close at the end of the with statement
+    code = main(["factor", "x", "--out", "/dev/full"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err == "error: cannot write /dev/full: No space left on device\n"
 
 def test_out_unwritable_fails_before_the_command_runs(tmp_path, capsys):
     # the full sweep takes seconds; the unwritable --out must stop it first

@@ -3,6 +3,7 @@ import time
 
 import pytest
 
+from gf2perfect import gf2poly
 from gf2perfect.gf2poly import (
     NEG_INFINITY,
     ONE,
@@ -21,7 +22,6 @@ from gf2perfect.gf2poly import (
     _reduction_table,
     _sqr_mask,
     _sqrt_mask,
-    format_poly,
     gcd,
     parse,
 )
@@ -208,6 +208,44 @@ def test_pow_of_monomials():
         assert Poly(mask) ** 13 == pow_reference(Poly(mask), 13)
 
 
+
+def test_pow_with_a_modulus_is_the_reduced_power():
+    rng = random.Random(37)
+    for _ in range(300):
+        p, m, n = rand_poly(rng, 40), rand_poly(rng, 20), rng.randrange(70)
+        if m:
+            assert pow(p, n, m) == (p**n) % m, (p, n, m)
+    m = parse("x^4+x+1")
+    assert pow(X, 0, m) == ONE % m == ONE and pow(ZERO, 0, m) == ONE
+    for p in (ZERO, ONE, X, m):
+        assert pow(p, 0, ONE) == pow(p, 5, ONE) == ZERO  # everything is 0 mod 1
+    for n in (0, 3):
+        with pytest.raises(ZeroDivisionError):
+            pow(X, n, ZERO)
+    with pytest.raises(ValueError, match="exponent must be a nonnegative integer"):
+        pow(X, -1, m)
+
+
+def test_pow_with_a_modulus_multiplies_reduced_operands(monkeypatch):
+    # reducing the base is what keeps pow(p, n, m) small: an unreduced
+    # square doubles its degree each step, so the kernels must only ever
+    # see operands of degree below deg m
+    m = parse("x^7+x+1")
+    p, n = parse("x^40+x^9+x^3+1"), (1 << 10) - 1  # deg p > deg m: its first use is reduced too
+    expected = (p**n) % m
+    kernels = {name: getattr(gf2poly, name) for name in ("_mul_mask", "_sqr_mask")}
+
+    def spy(name):
+        def kernel(*operands):
+            assert max(operands).bit_length() < m.mask.bit_length(), (name, operands)
+            return kernels[name](*operands)
+
+        return kernel
+
+    for name in kernels:
+        monkeypatch.setattr(gf2poly, name, spy(name))
+    assert pow(p, n, m) == expected
+
 def test_frobenius_spread():
     rng = random.Random(13)
     for _ in range(300):
@@ -274,7 +312,7 @@ def test_alpha():
             continue
         assert p.alpha(0) == 1
         # oracle: read exponents off the formatted string
-        text = format_poly(p)
+        text = str(p)
         exps = set()
         for term in text.split("+"):
             if term == "1":
@@ -314,12 +352,12 @@ def test_parse_format_round_trip():
     assert parse("x^2(x+1)^3") == parse("x^2") * XP1**3
     assert parse("x^2 * (x+1) * (x^2+x+1)") == parse("x^5+x^2")
     assert parse("x+1 ") == XP1  # trailing whitespace ends the tokens
-    assert format_poly(ZERO) == "0"
-    assert format_poly(ONE) == "1"
+    assert str(ZERO) == "0"
+    assert str(ONE) == "1"
     rng = random.Random(31)
     for _ in range(300):
         p = rand_poly(rng, 80)
-        assert parse(format_poly(p)) == p
+        assert parse(str(p)) == p
 
 
 def test_parse_errors():
@@ -357,7 +395,8 @@ def test_parse_degree_cap():
 def test_poly_immutable_and_hashable():
     p = parse("x^3+x")
     with pytest.raises(AttributeError):
-        p._mask = 5
+        p.mask = 5
+    assert p.mask == 0b1010
     assert len({p, parse("x^3+x"), X}) == 2
 
 

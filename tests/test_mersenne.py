@@ -1,5 +1,5 @@
 from collections import Counter
-from math import gcd
+from math import gcd, isqrt
 
 import pytest
 
@@ -122,6 +122,16 @@ def test_ord2():
     with pytest.raises(ValueError):
         ord2(2)
 
+
+
+def test_ord2_is_the_brute_force_order_below_3000():
+    primes = [p for p in range(3, 3000, 2) if all(p % d for d in range(3, isqrt(p) + 1, 2))]
+    assert len(primes) == 429
+    for p in primes:
+        v, e = 2, 1
+        while v != 1:
+            v, e = v * 2 % p, e + 1
+        assert ord2(p) == e, p
 
 def test_in_delta():
     assert in_delta(7)  # 2^3 - 1
