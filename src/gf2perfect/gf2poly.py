@@ -18,10 +18,14 @@ own conversions, and the square root reads hex digits back as base-4
 ones; neither keeps a table.
 Repeated reduction modulo one f (the factoring loops square and reduce
 many times per modulus) goes through _reducer: from a cutover degree on
-it builds the 256 multiples of f once and clears eight bits a step;
-below it, it is the bit-at-a-time _mod_mask.  The gcd kernel runs
-Euclid with each remainder computed inline, with no call per remainder
-step.
+it builds the 256 multiples of f once and clears the top byte a step,
+reading each length once; below it, it is the bit-at-a-time _mod_mask.
+The gcd kernel runs Euclid with each remainder computed inline: the two
+operands take turns as the dividend, with no swap, and each remainder's
+length is carried into the next division.  x -> x+1 is a superset sum
+over index bits (Lucas's theorem: (x+1)^k is the sum of the x^i with i
+a bit subset of k), one masked shift-XOR per bit of the length instead
+of one step per coefficient.
 """
 
 from __future__ import annotations
@@ -113,12 +117,15 @@ def _reduction_table(f):
 
 
 def _mod_table(a, table):
-    # a mod f, eight bits a step, with f's _reduction_table (f is table[1])
+    # a mod f, eight bits a step, with f's _reduction_table (f is table[1]):
+    # the top byte of a picks the multiple that clears it, and each length
+    # is read once; the last byte, bits n..n+7, is cleared on return
     n = table[1].bit_length() - 1
-    k = a.bit_length() - n - 8
-    while k >= 0:
-        a ^= table[a >> (n + k)] << k
-        k = a.bit_length() - n - 8
+    top = n + 8
+    w = a.bit_length()
+    while w > top:
+        a ^= table[a >> (w - 8)] << (w - top)
+        w = a.bit_length()
     return a ^ table[a >> n]
 
 
@@ -140,27 +147,38 @@ def _reducer(f):
 
 
 def _gcd_mask(a, b):
-    # Euclid with each remainder a mod b computed in place: no call per step
-    while b:
-        n = b.bit_length()
-        shift = a.bit_length() - n
-        while shift >= 0:
-            a ^= b << shift
-            shift = a.bit_length() - n
-        a, b = b, a
-    return a
+    # Euclid with each remainder computed in place, a and b taking turns as
+    # the dividend instead of being swapped; each remainder's length is
+    # carried into the next division, so a step reads one bit_length
+    if not b:
+        return a
+    na, nb = a.bit_length(), b.bit_length()
+    while True:
+        while na >= nb:
+            a ^= b << (na - nb)
+            na = a.bit_length()
+        if not a:
+            return b
+        while nb >= na:
+            b ^= a << (nb - na)
+            nb = b.bit_length()
+        if not b:
+            return a
 
 
 def _bar_mask(a):
-    # substitute x -> x+1 by accumulating successive powers of x+1
-    out = 0
-    power = 1
-    while a:
-        if a & 1:
-            out ^= power
-        a >>= 1
-        power ^= power << 1
-    return out
+    # substitute x -> x+1.  By Lucas's theorem (x+1)^k is the sum of the x^i
+    # whose index bits i are a subset of k's, so coefficient i of the image
+    # is the XOR of a's coefficients k with i a subset of k: a superset sum,
+    # one masked shift-XOR per index bit.  m marks the indices with bit j
+    # set, from j = half the power of two that covers a's length down to 1
+    j = 1 << (a.bit_length() - 1).bit_length() >> 1
+    m = ((1 << j) - 1) << j
+    while j:
+        a ^= (a & m) >> j
+        j >>= 1
+        m ^= m >> j
+    return a
 
 
 def _even_positions_mask(width):

@@ -142,7 +142,9 @@ def check_U_split_square(rec: SigmaRecord) -> TheoremReport:
     u2h = sigma_of_factored(fact)
     u = u2h.valuation(X)
     v = u2h.valuation(XP1)
-    splits = (XP1**v << u) == u2h
+    # x^u (x+1)^v divides U by the valuations' definition, so U is that
+    # product exactly when the degrees agree, mersenne_form's rule
+    splits = u + v == u2h.degree
     witness = {
         "u": u,
         "v": v,

@@ -16,6 +16,7 @@ from gf2perfect.divisors import canonical_class_rep, check
 from gf2perfect.factor import _factorize_cached, is_irreducible
 from gf2perfect.gf2poly import (
     Poly,
+    _bar_mask,
     _gcd_mask,
     _mod_mask,
     _mul_mask,
@@ -91,6 +92,14 @@ def test_gcd_mask(benchmark, degree):
     b = _mul_mask(common, random_mask(degree // 2 - 1, 3))
     g = benchmark(_gcd_mask, a, b)
     assert _mod_mask(a, g) == _mod_mask(b, g) == 0 and _mod_mask(g, common) == 0
+
+
+@pytest.mark.parametrize("degree", DEGREES)
+def test_bar_mask(benchmark, degree):
+    # x -> x+1 is an involution, and the image's constant term is a(1)
+    a = random_mask(degree, degree)
+    image = benchmark(_bar_mask, a)
+    assert _bar_mask(image) == a and image & 1 == a.bit_count() & 1
 
 
 @pytest.mark.parametrize("degree", DEGREES)

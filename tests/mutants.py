@@ -16,13 +16,14 @@ It then prints one line per mutant and the count killed, and exits 1
 unless every mutant is killed.
 
 The rows are the checkers' verdicts made never to read "fail", the exit
-code of a failing sweep, is_indecomposable's split test, and nineteen
+code of a failing sweep, is_indecomposable's split test, and twenty-two
 edits: of the factoring, of integer factoring, of the parser, of the
 perfection test, of two checkers' failing branches, of the search and its
 text output, of the sweep's grid, split rule and pool and the primes it
 maps, of verify's stderr note on a claim that checked nothing, of the
-order of 2, the enumeration's images and the Delta test in mersenne, and
-of the modular reduction in pow.  No
+order of 2, the enumeration's images and the Delta test in mersenne, of
+the modular reduction in pow, and of the gcd, x -> x+1 and byte-table
+reduction kernels.  No
 real instance fails a claim, so only the negative controls in
 tests/test_verify.py, tests/test_cli.py and tests/test_divisors.py can
 kill the first 14.
@@ -293,6 +294,27 @@ MUTANTS = (
         "result, base = _mod_mask(result, m), _mod_mask(base, m)",
         "result = _mod_mask(result, m)",
         ("tests/test_gf2poly.py::test_pow_with_a_modulus_multiplies_reduced_operands",),
+    ),
+    Mutant(
+        "the Euclid returns a at its not-a exit",
+        "gf2poly.py",
+        "        if not a:\n            return b\n",
+        "        if not a:\n            return a\n",
+        ("tests/test_gf2poly.py::test_gcd_kernel_matches_reference_euclid",),
+    ),
+    Mutant(
+        "x -> x+1 stops one superset-sum step early",
+        "gf2poly.py",
+        "    while j:\n        a ^= (a & m) >> j\n",
+        "    while j > 1:\n        a ^= (a & m) >> j\n",
+        ("tests/test_gf2poly.py::test_bar_kernel_matches_the_per_coefficient_substitution",),
+    ),
+    Mutant(
+        "the byte-table reduction stops one byte early",
+        "gf2poly.py",
+        "while w > top:",
+        "while w > top + 8:",
+        ("tests/test_gf2poly.py::test_reducer_matches_mod_mask",),
     ),
 )
 

@@ -14,7 +14,7 @@ from gf2perfect import search, verify
 from gf2perfect._intmath import prime_factors
 from gf2perfect.divisors import sigma_prime_power
 from gf2perfect.factor import factorize, is_squarefree
-from gf2perfect.gf2poly import ONE, BudgetError, Poly, _gcd_mask, _reducer, _sqr_mask, gcd
+from gf2perfect.gf2poly import ONE, BudgetError, Poly, _divmod_mask, _mod_mask, _sqr_mask, gcd
 from gf2perfect.mersenne import enumerate_mersenne_primes, mersenne_poly
 
 #: sigma_oracle refuses inputs above this degree (divisor counts explode).
@@ -70,20 +70,30 @@ def is_even_poly(a: Poly) -> bool:
     return a.mask & 1 == 0 or a.mask.bit_count() % 2 == 0
 
 
+def gcd_reference(a: int, b: int) -> int:
+    """gcd of two masks by textbook Euclid, each remainder from long division."""
+    while b:
+        a, b = b, _divmod_mask(a, b)[1]
+    return a
+
+
 def rabin_irreducible(p: Poly) -> bool:
-    """Rabin's criterion (SIAM J. Comput. 1980), sharing no loop with factor.
+    """Rabin's criterion (SIAM J. Comput. 1980), without factor's fast kernels.
 
     f of degree n >= 1 is irreducible iff x^(2^n) = x mod f and
-    gcd(x^(2^(n/q)) - x, f) = 1 for every prime q dividing n.
+    gcd(x^(2^(n/q)) - x, f) = 1 for every prime q dividing n.  Each
+    square is reduced bit by bit with _mod_mask, never with _reducer's
+    byte table, and each gcd is gcd_reference's, never _gcd_mask, so a
+    fault in either of those kernels cannot pass both a split and its
+    certificate.
     """
     f = p.mask
     n = f.bit_length() - 1
-    reduce, key = _reducer(f)
-    x = reduce(2, key)
+    x = _mod_mask(2, f)
     powers = [x]  # powers[k] = x^(2^k) mod f
     for _ in range(n):
-        powers.append(reduce(_sqr_mask(powers[-1]), key))
-    return powers[n] == x and all(_gcd_mask(f, powers[n // q] ^ x) == 1 for q in prime_factors(n))
+        powers.append(_mod_mask(_sqr_mask(powers[-1]), f))
+    return powers[n] == x and all(gcd_reference(f, powers[n // q] ^ x) == 1 for q in prime_factors(n))
 
 
 def _certify_splits(splits) -> tuple[int, list[str]]:

@@ -14,6 +14,7 @@ from gf2perfect.gf2poly import (
     _REDUCE_TABLE_CUTOVER,
     BudgetError,
     Poly,
+    _bar_mask,
     _gcd_mask,
     _mod_mask,
     _mod_table,
@@ -25,6 +26,7 @@ from gf2perfect.gf2poly import (
     gcd,
     parse,
 )
+from oracles import gcd_reference
 
 
 def rand_poly(rng, max_degree):
@@ -152,14 +154,6 @@ def test_reducer_matches_mod_mask():
             assert reduce(a, key) == _mod_table(a, table) == _mod_mask(a, f), (n, bits)
 
 
-def gcd_reference(a, b):
-    # textbook Euclid on Poly values, remainders from long division
-    p, q = Poly(a), Poly(b)
-    while q:
-        p, q = q, divmod(p, q)[1]
-    return p.mask
-
-
 def test_gcd_kernel_matches_reference_euclid():
     rng = random.Random(19)
     for _ in range(2000):
@@ -167,6 +161,16 @@ def test_gcd_kernel_matches_reference_euclid():
         b = rng.getrandbits(rng.randrange(0, 300))
         if a or b:
             assert _gcd_mask(a, b) == _gcd_mask(b, a) == gcd_reference(a, b), (a, b)
+    for _ in range(100):  # up to degree 1000, equal lengths among them
+        a = rng.getrandbits(rng.randrange(1, 1001))
+        b = rng.getrandbits(rng.choice((a.bit_length(), rng.randrange(1, 1001))))
+        if a or b:
+            assert _gcd_mask(a, b) == _gcd_mask(b, a) == gcd_reference(a, b), (a, b)
+    for _ in range(100):  # one operand divides the other: the gcd is that operand
+        d = rng.getrandbits(rng.randrange(1, 500)) | 1
+        a = _mul_mask(d, rng.getrandbits(rng.randrange(1, 500)) | 1)
+        assert _gcd_mask(a, d) == _gcd_mask(d, a) == gcd_reference(a, d) == d, (a, d)
+        assert _gcd_mask(d, d) == d
     common = parse("x^7+x^3+1").mask
     for _ in range(200):  # a shared factor, so the gcd is not 1
         a = _mul_mask(common, rng.getrandbits(rng.randrange(1, 120)) | 1)
@@ -278,6 +282,30 @@ def test_bar():
         assert (p + q).bar() == p.bar() + q.bar()
 
 
+def bar_reference(a):
+    # substitute x -> x+1 one coefficient at a time, accumulating the
+    # successive powers of x+1
+    out = 0
+    power = 1
+    while a:
+        if a & 1:
+            out ^= power
+        a >>= 1
+        power ^= power << 1
+    return out
+
+
+def test_bar_kernel_matches_the_per_coefficient_substitution():
+    for a in range(1 << 12):  # every mask of degree below 12
+        assert _bar_mask(a) == bar_reference(a), a
+    rng = random.Random(41)
+    widths = [1 << k for k in range(13)] + [(1 << k) + 1 for k in range(13)] + [rng.randrange(1, 4098) for _ in range(100)]
+    for width in widths:  # up to degree 4096, at and just past each power of two
+        a = rng.getrandbits(width) | 1 << (width - 1)
+        assert _bar_mask(a) == bar_reference(a), width
+        assert _bar_mask(_bar_mask(a)) == a
+
+
 def test_valuation():
     assert parse("x^2+x").valuation(X) == 1
     t1 = parse("x^2") * XP1 * parse("x^2+x+1")
@@ -288,8 +316,11 @@ def test_valuation():
     with pytest.raises(ValueError):
         X.valuation(parse("x^2+x+1"))
     rng = random.Random(19)
-    for _ in range(100):
-        p = rand_poly(rng, 40)
+    # random p, then p (x+1)^k and p x^k up to degree 600: at x+1 the
+    # valuation reads the x -> x+1 image, so high multiplicities test it
+    samples = [rand_poly(rng, 40) for _ in range(100)]
+    samples += [rand_poly(rng, rng.randrange(500)) * at ** rng.randrange(100) for at in (X, XP1) for _ in range(60)]
+    for p in samples:
         if not p:
             continue
         for at in (X, XP1):

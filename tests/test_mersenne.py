@@ -10,6 +10,7 @@ from gf2perfect.mersenne import (
     enumerate_mersenne_primes,
     in_delta,
     is_mersenne_prime,
+    mersenne_form,
     mersenne_poly,
     ord2,
     parse_named,
@@ -40,6 +41,18 @@ def test_is_mersenne_prime():
     assert is_mersenne_prime(parse("x^2+1")) is None  # reducible
     with pytest.raises(ValueError):
         is_mersenne_prime(Poly(0))
+
+
+def test_mersenne_form():
+    # 1 + 1 = 0, 1 + x = x + 1 and 1 + (x+1) = x: degree below 2, no form
+    for p in (ONE, X, XP1):
+        assert mersenne_form(p) is None, p
+    with pytest.raises(ValueError):
+        mersenne_form(Poly(0))
+    # every mask of degree at most 10 against the forms built from (a, b)
+    forms = {mersenne_poly(a, b): (a, b) for a in range(1, 10) for b in range(1, 11 - a)}
+    for mask in range(1, 1 << 11):
+        assert mersenne_form(Poly(mask)) == forms.get(Poly(mask)), mask
 
 
 def test_enumerate_matches_catalog_at_degree_4():
