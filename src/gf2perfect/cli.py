@@ -68,7 +68,6 @@ def _build_parser():
     p.add_argument("--max-degree", type=int, default=6, help="Mersenne prime degree cap")
     p.add_argument("--max-h", type=int, default=30)
     p.add_argument("--claim", default=None, help="restrict to one claim id")
-    p.add_argument("--jobs", type=int, default=1)
     _add_common(p)
 
     p = sub.add_parser("search", help="search for (unitary) perfect polynomials")
@@ -125,7 +124,7 @@ def _cmd_mersenne(args):
 
 
 def _cmd_verify(args):
-    reports = verify.run_all(args.max_degree, args.max_h, jobs=args.jobs, claim=args.claim)
+    reports = verify.run_all(args.max_degree, args.max_h, claim=args.claim)
     if not any(r.verdict in ("pass", "fail") for r in reports):
         raise ValueError("the sweep checked nothing: no instance gave a pass or fail verdict")
     # a selected claim can still check nothing, its every instance out of

@@ -15,9 +15,7 @@ since the hypothesis boundary is where transcription slips would hide.
 from __future__ import annotations
 
 import json
-import os
 from collections import Counter
-from functools import partial
 from itertools import chain, islice
 from typing import NamedTuple
 
@@ -364,29 +362,8 @@ def _records_read(m: MersennePrime, max_h: int, claim: str | None):
             yield h, names
 
 
-def _check_prime(m: MersennePrime, max_h: int, claim: str | None) -> list[TheoremReport]:
-    # the reports of those checks on M.  A record is split unless its checks
-    # all read the sum alone; lemma3.4 reports once per k.  A record's pieces
-    # q(M) recur across h, so one worker holds all of M
-    reports = []
-    for h, names in _records_read(m, max_h, claim):
-        rec = sigma_record(m, h, split=not {"lemma3.4", "lemma3.15"}.issuperset(names))
-        for name in names:
-            r = _CHECKERS[name](rec)
-            reports += r if isinstance(r, list) else [r]
-    return reports
-
-
-def run_all(
-    max_mersenne_degree: int,
-    max_h: int,
-    *,
-    jobs: int = 1,
-    claim: str | None = None,
-) -> list[TheoremReport]:
+def run_all(max_mersenne_degree: int, max_h: int, *, claim: str | None = None) -> list[TheoremReport]:
     """Sweep every checker over the in-budget grid; deterministic order."""
-    if jobs < 1:
-        raise ValueError(f"jobs must be at least 1, got {jobs}")
     if claim is not None and claim not in CLAIM_IDS and claim not in ("thm1.2-i", "thm1.2-ii"):
         raise ValueError(f"unknown claim {claim!r}; known: {', '.join(CLAIM_IDS)}")
     # the one-off checkers take a few milliseconds, so they run here; one of
@@ -399,21 +376,15 @@ def run_all(
         return []
     base = "thm1.2" if claim in ("thm1.2-i", "thm1.2-ii") else claim
     reports = [_CHECKERS[name]() for name in one_off if base is None]
-    # an instance on M has degree at least 2*deg(M), so DEGREE_BUDGET bounds M
-    primes = enumerate_mersenne_primes(min(max_mersenne_degree, DEGREE_BUDGET // 2))
-    primes = [m for m in primes if any(_records_read(m, max_h, base))]
-    check = partial(_check_prime, max_h=max_h, claim=base)
-    # the pool starts every worker at once, so never ask for more than can run
-    workers = min(jobs, len(primes), os.cpu_count() or 1)
-    if workers > 1:
-        from concurrent.futures import ProcessPoolExecutor  # a serial run never loads multiprocessing
-
-        # enumerate_mersenne_primes yields M by degree, and a prime's checks
-        # cost more as its degree grows, so the last primes go first
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            reports += [r for rs in pool.map(check, reversed(primes)) for r in rs]
-    else:
-        reports += [r for m in primes for r in check(m)]
+    # an instance on M has degree at least 2*deg(M), so DEGREE_BUDGET bounds
+    # M.  A record is split unless its checks all read the sum alone;
+    # lemma3.4 reports once per k
+    for m in enumerate_mersenne_primes(min(max_mersenne_degree, DEGREE_BUDGET // 2)):
+        for h, names in _records_read(m, max_h, base):
+            rec = sigma_record(m, h, split=not {"lemma3.4", "lemma3.15"}.issuperset(names))
+            for name in names:
+                r = _CHECKERS[name](rec)
+                reports += r if isinstance(r, list) else [r]
     if base != claim:
         reports = [r for r in reports if r.claim_id == claim]
     reports.sort(key=TheoremReport.sort_key)

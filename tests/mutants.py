@@ -16,11 +16,11 @@ It then prints one line per mutant and the count killed, and exits 1
 unless every mutant is killed.
 
 The rows are the checkers' verdicts made never to read "fail", the exit
-code of a failing sweep, is_indecomposable's split test, and twenty-two
+code of a failing sweep, is_indecomposable's split test, and twenty-one
 edits: of the factoring, of integer factoring, of the parser, of the
 perfection test, of two checkers' failing branches, of the search and its
-text output, of the sweep's grid, split rule and pool and the primes it
-maps, of verify's stderr note on a claim that checked nothing, of the
+text output, of the sweep's grid, split rule and walk over the primes,
+of verify's stderr note on a claim that checked nothing, of the
 order of 2, the enumeration's images and the Delta test in mersenne, of
 the modular reduction in pow, and of the gcd, x -> x+1 and byte-table
 reduction kernels.  No
@@ -205,11 +205,11 @@ MUTANTS = (
         ("tests/test_verify.py::test_claims_on_the_sum_alone_split_nothing",),
     ),
     Mutant(
-        "the pool skips the lowest prime",
+        "the sweep skips the first prime",
         "verify.py",
-        "pool.map(check, reversed(primes))",
-        "pool.map(check, reversed(primes[1:]))",
-        ("tests/test_verify.py::test_run_all_clamps_workers",),
+        "for m in enumerate_mersenne_primes(min(max_mersenne_degree, DEGREE_BUDGET // 2)):",
+        "for m in enumerate_mersenne_primes(min(max_mersenne_degree, DEGREE_BUDGET // 2))[1:]:",
+        ("tests/test_cli.py::test_verify_json_digest",),
     ),
     Mutant(
         "verify never notes a claim that checked nothing",
@@ -252,13 +252,6 @@ MUTANTS = (
         'flags = [k for k in ("trivial", "in_catalog", "outside_scope", "decomposable") if obj[k]]',
         "flags = []",
         ("tests/test_cli.py::test_search_json_digest",),
-    ),
-    Mutant(
-        "the sweep maps every prime for any claim",
-        "verify.py",
-        "    primes = [m for m in primes if any(_records_read(m, max_h, base))]\n",
-        "",
-        ("tests/test_verify.py::test_run_all_maps_only_the_primes_a_claim_reads",),
     ),
     Mutant(
         "check always reports perfect",

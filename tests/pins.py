@@ -70,16 +70,13 @@ PINS = (
     Pin(("sigma", "--star", "S2", "--format", "json"), "a768484083c5e78d8a7b33db592acb71273f6669718efd5e949c4e4fbf966882", 1, "tier1"),
     Pin(("check", "--mode", "perfect", "T8", "--format", "json"), "14447ac8523732e98260ac95b939ee8e6294b36b6446f2806e4715dc189d02bc", 1, "tier1"),
     Pin(("check", "--mode", "unitary", "B7", "--format", "json"), "faad7bed108e506f3677de7aa4ed51abf753f3daf648265e34d73ab6041b13c2", 1, "tier1"),
-    # the full sweep, serial and sharded, under two hash seeds; bench/run.py
-    # keeps its own copy of this digest
-    Pin(_verify(8, 60, "--jobs", "1"), _SWEEP_8_60, 6121, "ci", (("PYTHONHASHSEED", "0"),)),
-    Pin(_verify(8, 60, "--jobs", "2"), _SWEEP_8_60, 6121, "ci", (("PYTHONHASHSEED", "12345"),)),
-    # one claim on one prime at --jobs 2: cor3.17 reads x^3+x+1 alone, so
-    # run_all maps that one prime and takes the serial path, with no pool
-    Pin(_verify(8, 60, "--claim", "cor3.17", "--jobs", "2"), "0eb287f150612e622664231b8bc1378995a37b984f76c6e4f5d80bf364d1ef03", 60, "ci"),
-    # wider sweeps, sharded over two workers: the serial streams
-    Pin(_verify(10, 60, "--jobs", "2"), "006557786f8387c78924cb88271532fa1452f589f15f3aa34da0e4e655aff09c", 8917, "ci"),
-    Pin(_verify(12, 60, "--jobs", "2"), "e50c5a46d53aa9182be93d8d6989061d692673119caea0cc10bb876b110d82c2", 10781, "ci"),
+    # the full sweep under two hash seeds; bench/run.py keeps its own copy
+    # of this digest
+    Pin(_verify(8, 60), _SWEEP_8_60, 6121, "ci", (("PYTHONHASHSEED", "0"),)),
+    Pin(_verify(8, 60), _SWEEP_8_60, 6121, "ci", (("PYTHONHASHSEED", "12345"),)),
+    # wider sweeps
+    Pin(_verify(10, 60), "006557786f8387c78924cb88271532fa1452f589f15f3aa34da0e4e655aff09c", 8917, "ci"),
+    Pin(_verify(12, 60), "e50c5a46d53aa9182be93d8d6989061d692673119caea0cc10bb876b110d82c2", 10781, "ci"),
     # the brute-force oracle at degree 18, both modes
     Pin(_search("perfect", "all", 18), "4ebb1657262b8e34f055e9933667634a17816cd9067c1cf906d0e1836925fe9f", 12, "ci"),
     Pin(_search("unitary", "all", 18, "--all-powers"), "4a28bd343fad8333cecfca7dae754d2788ff4357fc5ff3cd9062b7550d7c665f", 15, "ci"),

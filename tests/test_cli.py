@@ -196,8 +196,6 @@ def test_search_bruteforce_guard_exits_2(capsys):
     [
         ["--max-degree", "1"],
         ["--max-h", "0"],
-        ["--jobs", "-5"],
-        ["--jobs", "0"],
     ],
 )
 def test_verify_checking_nothing_exits_2(capsys, argv):
@@ -335,6 +333,32 @@ def test_arithmetic_error_exits_2(capsys, monkeypatch):
 )
 def test_removed_flags_rejected(capsys, argv):
     assert main(argv) == 2
+
+
+def test_verify_jobs_is_an_unrecognized_argument(capsys):
+    assert main(["verify", "--max-degree", "2", "--max-h", "1", "--jobs", "2"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "unrecognized arguments: --jobs 2" in captured.err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["mersenne", "--max-degree", "5000"],
+        ["verify", "--max-degree", "2000", "--max-h", "1"],
+        ["search", "--family", "mersenne", "--max-degree", "3000"],
+    ],
+)
+def test_mersenne_enumeration_past_its_cap_exits_2(capsys, argv):
+    # the enumeration refuses the degree before it tests any candidate
+    start = time.perf_counter()
+    code = main(argv)
+    elapsed = time.perf_counter() - start
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == "error: Mersenne prime enumeration is capped at degree 256\n"
+    assert elapsed < 2.0
 
 
 def test_seed_env_var_ignored(capsys, monkeypatch):

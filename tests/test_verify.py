@@ -1,7 +1,5 @@
-import concurrent.futures
 import json
 from collections import Counter
-from functools import lru_cache
 
 import pytest
 
@@ -318,26 +316,6 @@ def test_claim_filter_selects_exactly_its_instances(sweep_6_12, claim):
     assert run_all(6, 12, claim=claim) == expected
 
 
-@pytest.mark.parametrize("kwargs", [{"jobs": 0}, {"jobs": -1}])
-def test_run_all_rejects_bad_budgets(kwargs):
-    with pytest.raises(ValueError):
-        run_all(4, 2, **kwargs)
-
-
-def test_run_all_jobs_match_serial():
-    serial = run_all(4, 2)
-    parallel = run_all(4, 2, jobs=2)
-    assert [r.to_json() for r in serial] == [r.to_json() for r in parallel]
-
-
-def test_run_all_sharded_by_mersenne_prime_match_serial():
-    # a cold cache, so the workers factor every piece q(M) of their primes M
-    # themselves
-    factor._factorize_cached.cache_clear()
-    parallel = run_all(6, 12, jobs=2)
-    assert [r.to_json() for r in parallel] == [r.to_json() for r in run_all(6, 12)]
-
-
 def count_splits(monkeypatch):
     # counts verify's calls of factor_sigma_prime_power by (M mask, n)
     calls = Counter()
@@ -416,92 +394,6 @@ def test_one_off_claim_enumerates_no_grid_primes(monkeypatch, claim, expected):
     reports = run_all(120, 1, claim=claim)
     assert [r.claim_id for r in reports] == [claim]
     assert asked == expected
-
-
-class SerialPool:
-    # stands in for ProcessPoolExecutor: it maps serially in this process, so
-    # a test of the pool path starts no process, and records each pool's size
-    sizes = []
-
-    def __init__(self, max_workers):
-        self.sizes.append(max_workers)
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
-
-    def map(self, fn, items, chunksize=1):
-        return map(fn, items)
-
-
-def test_run_all_clamps_workers(monkeypatch):
-    # the pool forks every worker at once, so its size is clamped
-    monkeypatch.setattr(SerialPool, "sizes", [])
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
-    monkeypatch.setattr(verify.os, "cpu_count", lambda: 4)
-    serial = [r.to_json() for r in run_all(4, 2)]
-    assert [r.to_json() for r in run_all(4, 2, jobs=5000)] == serial
-    assert [r.to_json() for r in run_all(4, 2, jobs=3)] == serial
-    assert len(run_all(4, 2, jobs=5000, claim="lemma3.7")) == 1  # one task
-    monkeypatch.setattr(verify.os, "cpu_count", lambda: None)
-    assert [r.to_json() for r in run_all(4, 2, jobs=5000)] == serial
-    assert SerialPool.sizes == [4, 3]
-
-
-def test_run_all_cold_workers_factor_each_piece_once(monkeypatch):
-    # each call of _check_prime starts on a cleared cache, as in a freshly
-    # started worker; no piece q(M) may then be factored by two calls, and
-    # the stream must be the serial one.  Only the c = 1 + z + ... + z^n,
-    # all-ones masks, recur, since each worker factors them for itself
-    serial = [r.to_json() for r in run_all(6, 12)]
-    check_prime = verify._check_prime
-    calls, primes = Counter(), Counter()
-    factor_mask = factor._factorize_cached.__wrapped__
-
-    def counting(mask):
-        calls[mask] += 1
-        return factor_mask(mask)
-
-    def cold(*args, **kwargs):
-        factor._factorize_cached.cache_clear()
-        calls.clear()
-        reports = check_prime(*args, **kwargs)
-        assert set(calls.values()) <= {1}
-        primes.update(calls)
-        return reports
-
-    # a cache of factorize's size over a counting body, which a hit never reaches
-    monkeypatch.setattr(factor, "_factorize_cached", lru_cache(maxsize=8192)(counting))
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
-    monkeypatch.setattr(verify.os, "cpu_count", lambda: 2)
-    monkeypatch.setattr(verify, "_check_prime", cold)
-    assert [r.to_json() for r in run_all(6, 12, jobs=2)] == serial
-    repeated = [mask for mask, k in primes.items() if k > 1]
-    assert repeated and all(mask & mask + 1 == 0 for mask in repeated)
-    assert len(primes) > len(repeated)
-
-
-def test_run_all_maps_only_the_primes_a_claim_reads(monkeypatch):
-    # cor3.17 reads x^3+x+1 alone, so of the 13 primes of degree <= 8 only
-    # it is mapped: --jobs 2 builds no pool and checks that one prime once
-    serial = run_all(8, 5, claim="cor3.17")
-    check_prime = verify._check_prime
-    returned = []
-
-    def spy(*args, **kwargs):
-        returned.append(check_prime(*args, **kwargs))
-        return returned[-1]
-
-    monkeypatch.setattr(SerialPool, "sizes", [])
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
-    monkeypatch.setattr(verify.os, "cpu_count", lambda: 2)
-    monkeypatch.setattr(verify, "_check_prime", spy)
-    assert run_all(8, 5, jobs=2, claim="cor3.17") == serial
-    assert SerialPool.sizes == []
-    assert len(returned) == 1 and len(returned[0]) == 5
-    assert [r.params["M"] for r in serial] == ["x^3+x+1"] * 5
 
 
 def test_report_json_shape():
