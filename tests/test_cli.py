@@ -196,6 +196,8 @@ def test_search_bruteforce_guard_exits_2(capsys):
     [
         ["--max-degree", "1"],
         ["--max-h", "0"],
+        ["--max-degree", "0"],
+        ["--max-h", "-1"],
     ],
 )
 def test_verify_checking_nothing_exits_2(capsys, argv):
