@@ -57,7 +57,7 @@ def _build_parser():
 
     p = sub.add_parser("check", help="test sigma(A) = A or sigma*(A) = A")
     p.add_argument("poly")
-    p.add_argument("--mode", choices=("perfect", "unitary"), default="perfect")
+    p.add_argument("--mode", choices=search.MODES, default="perfect")
     _add_common(p)
 
     p = sub.add_parser("mersenne", help="enumerate Mersenne primes by degree")
@@ -71,7 +71,7 @@ def _build_parser():
     _add_common(p)
 
     p = sub.add_parser("search", help="search for (unitary) perfect polynomials")
-    p.add_argument("--mode", choices=("perfect", "unitary"), default="perfect")
+    p.add_argument("--mode", choices=search.MODES, default="perfect")
     p.add_argument("--family", choices=("mersenne", "all"), default="mersenne")
     p.add_argument("--max-degree", type=int, required=True)
     p.add_argument("--all-powers", action="store_true", help="list every hit, not class representatives")

@@ -52,23 +52,23 @@ def _check_search_args(max_degree: int, mode: str):
 def _part_sigma_table(max_degree: int, mode: str):
     """Packed divisor sums for every admissible part.
 
-    Each prime the search can use gets a fixed index: x is 0, x+1 is 1
-    and the i-th Mersenne prime of degree <= max_degree - 2 is i + 2.
-    A part's divisor sum is stored as the single int
+    Each prime the search can use gets one index, which is also its
+    field: primes = [x, x+1, *the Mersenne primes of degree <= max_degree
+    - 2].  A part's divisor sum is stored as the single int
     sum(mult << width * index), with 2^width > 2 max_degree.  A part
     whose divisor sum has a prime outside the index is dropped: that
     prime would have to divide the hit.
 
-    Returns (width, primes, x_parts, xp1_parts, prime_parts): the two
-    linear tables map an exponent to its packed sum, and prime_parts[i]
-    does the same for primes[i].
+    Returns (width, primes, parts): parts[i] maps e to the packed sum of
+    primes[i]^e, for e <= max_degree - 1 when primes[i] is x or x+1 and
+    e <= (max_degree - 2) // deg for a Mersenne prime of degree deg.
     """
     unitary = mode == "unitary"
-    primes = []
+    primes = [X, XP1]
     if max_degree >= 4:  # smallest candidate with an odd part is x(x+1)M1
-        primes = [m.poly for m in enumerate_mersenne_primes(max_degree - 2)]
+        primes += [m.poly for m in enumerate_mersenne_primes(max_degree - 2)]
     width = max_degree.bit_length() + 1
-    shift = {p: width * i for i, p in enumerate([X, XP1, *primes])}
+    shift = {p: width * i for i, p in enumerate(primes)}
 
     def part_sum(base: Poly, e: int):
         packed = 0
@@ -81,10 +81,9 @@ def _part_sigma_table(max_degree: int, mode: str):
     def table(base: Poly, top: int):
         return {e: s for e in range(1, top + 1) if (s := part_sum(base, e)) is not None}
 
-    x_parts = table(X, max_degree - 1)
-    xp1_parts = table(XP1, max_degree - 1)
-    prime_parts = [table(p, (max_degree - 2) // p.degree) for p in primes]
-    return width, primes, x_parts, xp1_parts, prime_parts
+    parts = [table(p, max_degree - 1) for p in primes[:2]]
+    parts += [table(p, (max_degree - 2) // p.degree) for p in primes[2:]]
+    return width, primes, parts
 
 
 def search_structured(max_degree: int, mode: str = "perfect") -> list[Poly]:
@@ -92,10 +91,11 @@ def search_structured(max_degree: int, mode: str = "perfect") -> list[Poly]:
 
     A candidate A = x^a (x+1)^b * prod P_i^h_i is perfect iff its parts'
     packed divisor sums (see _part_sigma_table) add up to A's packed
-    exponents.  A part is special if its sum has an odd field; only the
-    x part, the x+1 part and special parts reach the odd fields, so each
-    choice of at most one special part per prime, with a and b, names
-    one candidate: their sums' odd fields, under a and b.
+    exponents, field k holding the power of primes[k].  A part is special
+    if its sum has an odd field (k >= 2); only the x part, the x+1 part
+    and special parts reach the odd fields, so each choice of at most one
+    special part per prime, with a and b, names one candidate: their
+    sums' odd fields, under a and b.  A hit is read back field by field.
 
     Complete: a hit's own special parts are a choice, and with them the
     odd fields are its h_i.  Sound: the last comparison is sigma(A) = A.
@@ -104,26 +104,26 @@ def search_structured(max_degree: int, mode: str = "perfect") -> list[Poly]:
     <= 2 max_degree - 2 < 2^width.
     """
     _check_search_args(max_degree, mode)
-    width, primes, x_parts, xp1_parts, prime_parts = _part_sigma_table(max_degree, mode)
+    width, primes, parts = _part_sigma_table(max_degree, mode)
     field, odd = (1 << width) - 1, 2 * width
     degrees = [p.degree for p in primes]
     choices = [(0, 0)]  # (degree, packed sum)
-    for parts, d in zip(prime_parts, degrees):
-        special = [(h * d, s) for h, s in parts.items() if s >> odd]
+    for table, d in zip(parts[2:], degrees[2:]):
+        special = [(h * d, s) for h, s in table.items() if s >> odd]
         choices += [(c + e, sums + s) for c, sums in choices for e, s in special if c + e <= max_degree - 2]
     found = set()  # two choices can name one hit
     for c, sums in choices:
-        for a, fx in x_parts.items():
-            for b, f1 in xp1_parts.items():
+        for a, fx in parts[0].items():
+            for b, f1 in parts[1].items():
                 if c + a + b > max_degree:
                     continue
                 want = (sums + fx + f1) >> odd << odd | b << width | a
-                total, degree, rest = fx + f1, a + b, want >> odd
+                total, degree, rest = fx + f1, a + b, want >> odd << odd
                 while rest and degree <= max_degree:
                     k = ((rest & -rest).bit_length() - 1) // width  # the lowest odd field left
                     h = rest >> width * k & field
                     rest ^= h << width * k
-                    if (s := prime_parts[k].get(h)) is None:
+                    if (s := parts[k].get(h)) is None:
                         break
                     total, degree = total + s, degree + h * degrees[k]
                 else:
@@ -131,9 +131,9 @@ def search_structured(max_degree: int, mode: str = "perfect") -> list[Poly]:
                         found.add(want)
     hits = []
     for want in found:
-        poly = XP1 ** (want >> width & field) << (want & field)
+        poly = Poly(1)
         for k, p in enumerate(primes):
-            if h := want >> width * (k + 2) & field:
+            if h := want >> width * k & field:
                 poly = poly * p**h
         hits.append(poly)
     return sorted(hits)

@@ -376,10 +376,9 @@ def run_all(max_mersenne_degree: int, max_h: int, *, claim: str | None = None) -
         return []
     base = "thm1.2" if claim in ("thm1.2-i", "thm1.2-ii") else claim
     reports = [_CHECKERS[name]() for name in one_off if base is None]
-    # an instance on M has degree at least 2*deg(M), so DEGREE_BUDGET bounds
-    # M.  A record is split unless its checks all read the sum alone;
-    # lemma3.4 reports once per k
-    for m in enumerate_mersenne_primes(min(max_mersenne_degree, DEGREE_BUDGET // 2)):
+    # a record is split unless its checks all read the sum alone; lemma3.4
+    # reports once per k
+    for m in enumerate_mersenne_primes(max_mersenne_degree):
         for h, names in _records_read(m, max_h, base):
             rec = sigma_record(m, h, split=not {"lemma3.4", "lemma3.15"}.issuperset(names))
             for name in names:

@@ -16,17 +16,16 @@ It then prints one line per mutant and the count killed, and exits 1
 unless every mutant is killed.
 
 The rows are the checkers' verdicts made never to read "fail", the exit
-code of a failing sweep, is_indecomposable's split test, and twenty-one
+code of a failing sweep, is_indecomposable's split test, and twenty-two
 edits: of the factoring, of integer factoring, of the parser, of the
-perfection test, of two checkers' failing branches, of the search and its
-text output, of the sweep's grid, split rule and walk over the primes,
-of verify's stderr note on a claim that checked nothing, of the
-order of 2, the enumeration's images and the Delta test in mersenne, of
-the modular reduction in pow, and of the gcd, x -> x+1 and byte-table
-reduction kernels.  No
-real instance fails a claim, so only the negative controls in
-tests/test_verify.py, tests/test_cli.py and tests/test_divisors.py can
-kill the first 14.
+perfection test, of two checkers' failing branches, of the search, its
+hit decoder and its text output, of the sweep's grid, split rule and
+walk over the primes, of verify's stderr note on a claim that checked
+nothing, of the order of 2, the enumeration's images and the Delta test
+in mersenne, of the modular reduction in pow, and of the gcd, x -> x+1
+and byte-table reduction kernels.  No real instance fails a claim, so
+only the negative controls in tests/test_verify.py, tests/test_cli.py
+and tests/test_divisors.py can kill the first 14.
 """
 
 import os
@@ -172,7 +171,7 @@ MUTANTS = (
     Mutant(
         "the scan takes no special part",
         "search.py",
-        "special = [(h * d, s) for h, s in parts.items() if s >> odd]",
+        "special = [(h * d, s) for h, s in table.items() if s >> odd]",
         "special = []",
         ("tests/test_search.py::test_scan_matches_the_recursion_on_synthetic_tables",),
     ),
@@ -182,6 +181,13 @@ MUTANTS = (
         "if p not in shift:\n                return None",
         "if p not in shift:\n                continue",
         ("tests/test_search.py::test_packed_part_sums_decode",),
+    ),
+    Mutant(
+        "the hit decoder skips the x field",
+        "search.py",
+        "for k, p in enumerate(primes):",
+        "for k, p in enumerate(primes[1:], 1):",
+        ("tests/test_search.py::test_structured_smallest",),
     ),
     Mutant(
         "outside_scope needs every odd prime non-Mersenne",
@@ -207,8 +213,8 @@ MUTANTS = (
     Mutant(
         "the sweep skips the first prime",
         "verify.py",
-        "for m in enumerate_mersenne_primes(min(max_mersenne_degree, DEGREE_BUDGET // 2)):",
-        "for m in enumerate_mersenne_primes(min(max_mersenne_degree, DEGREE_BUDGET // 2))[1:]:",
+        "for m in enumerate_mersenne_primes(max_mersenne_degree):",
+        "for m in enumerate_mersenne_primes(max_mersenne_degree)[1:]:",
         ("tests/test_cli.py::test_verify_json_digest",),
     ),
     Mutant(

@@ -187,14 +187,12 @@ def test_packed_part_sums_decode():
     for mode in ("perfect", "unitary"):
         divisor_sum = sigma if mode == "perfect" else sigma_star
         for degree in (15, 16, 31, 32):
-            width, primes, x_parts, xp1_parts, prime_parts = _part_sigma_table(degree, mode)
-            index = [X, XP1, *primes]
-            tables = [(X, x_parts), (XP1, xp1_parts), *zip(primes, prime_parts)]
-            for base, table in tables:
+            width, primes, parts = _part_sigma_table(degree, mode)
+            for base, table in zip(primes, parts):
                 for e, packed in table.items():
-                    fields = [packed >> width * i & ((1 << width) - 1) for i in range(len(index))]
-                    assert packed >> width * len(index) == 0
-                    assert {p: m for p, m in zip(index, fields) if m} == dict(factorize(divisor_sum(base**e)))
+                    fields = [packed >> width * i & ((1 << width) - 1) for i in range(len(primes))]
+                    assert packed >> width * len(primes) == 0
+                    assert {p: m for p, m in zip(primes, fields) if m} == dict(factorize(divisor_sum(base**e)))
 
 
 def search_by_recursion(max_degree, mode):
@@ -206,10 +204,10 @@ def search_by_recursion(max_degree, mode):
     pruned once its sums' x and x+1 fields alone need a + b above the
     budget: extending only grows the sums and shrinks the budget.
     """
-    width, primes, x_parts, xp1_parts, prime_parts = search._part_sigma_table(max_degree, mode)
+    width, primes, parts = search._part_sigma_table(max_degree, mode)
     field = (1 << width) - 1
-    x_probes = [(a, fx, fx >> width & field) for a, fx in x_parts.items()]
-    order = sorted(range(len(primes)), key=lambda k: -primes[k].degree)  # the large primes use up the budget soonest
+    x_probes = [(a, fx, fx >> width & field) for a, fx in parts[0].items()]
+    order = sorted(range(2, len(primes)), key=lambda k: -primes[k].degree)  # the large primes use up the budget soonest
     hits = []
 
     def extend(i, budget, sums, odd):
@@ -219,19 +217,19 @@ def search_by_recursion(max_degree, mode):
             return
         for a, fx, fx_xp1 in x_probes:
             b = vx1 + fx_xp1
-            f1 = xp1_parts.get(b)
-            if f1 is not None and a + b <= budget + 2 and sums + fx + f1 == odd + a + (b << width):
-                poly = XP1**b << a
+            f1 = parts[1].get(b)
+            if f1 is not None and a + b <= budget + 2 and sums + fx + f1 == (want := odd + a + (b << width)):
+                poly = Poly(1)
                 for k, p in enumerate(primes):
-                    poly = poly * p ** (odd >> width * (k + 2) & field)
+                    poly = poly * p ** (want >> width * k & field)
                 hits.append(poly)
         for j in range(i, len(order)):
             k, d = order[j], primes[order[j]].degree
             if d > budget:
                 continue
-            for h, s in prime_parts[k].items():
+            for h, s in parts[k].items():
                 if h * d <= budget:
-                    extend(j + 1, budget - h * d, sums + s, odd + (h << width * (k + 2)))
+                    extend(j + 1, budget - h * d, sums + s, odd + (h << width * k))
 
     extend(0, max_degree - 2, 0, 0)
     return sorted(hits)
@@ -289,8 +287,8 @@ def test_scan_matches_the_recursion_on_synthetic_tables(monkeypatch):
             some = lambda k, top: rng.randint(0, top) if rng.random() < 0.5 else 0  # noqa: E731
             return {e: packed(part_sum(own, e * degree_of[own], some)) for e in entries}
 
-        x_parts, xp1_parts = table(0, max_degree - 1), table(1, max_degree - 1)
-        prime_parts = [table(k, (max_degree - 2) // degree_of[k]) for k in range(2, len(degree_of))]
+        parts = [table(0, max_degree - 1), table(1, max_degree - 1)]
+        parts += [table(k, (max_degree - 2) // degree_of[k]) for k in range(2, len(degree_of))]
         # plant a candidate x^a (x+1)^b prod P_k^h_k whose parts add up to it: each
         # prime part takes what it can of the other primes' fields, the x and
         # x+1 parts the rest, and the x+1 part's x field v balances the two
@@ -299,7 +297,7 @@ def test_scan_matches_the_recursion_on_synthetic_tables(monkeypatch):
         for k in range(2, len(h)):
             if h[k]:
                 fields = part_sum(k, h[k] * degree_of[k], lambda j, top: min(need[j], top))
-                prime_parts[k - 2][h[k]] = packed(fields)
+                parts[k][h[k]] = packed(fields)
                 need = [n - f for n, f in zip(need, fields)]
                 low = [low[0] + fields[0], low[1] + fields[1]]
         fx = [0, 0, *(rng.randint(0, n) for n in need[2:])]
@@ -309,13 +307,13 @@ def test_scan_matches_the_recursion_on_synthetic_tables(monkeypatch):
         a, b = v + low[0], v + odd_xp1
         planted = None
         if a + b + sum(e * d for e, d in zip(h, degree_of)) <= max_degree:
-            x_parts[a] = packed([0, a - odd_x, *fx[2:]])
-            xp1_parts[b] = packed([v, 0, *f1[2:]])
+            parts[0][a] = packed([0, a - odd_x, *fx[2:]])
+            parts[1][b] = packed([v, 0, *f1[2:]])
             planted = XP1**b << a
             for p, e in zip(primes, h[2:]):
                 planted = planted * p**e
         with monkeypatch.context() as patch:
-            patch.setattr(search, "_part_sigma_table", lambda *_: (width, primes, x_parts, xp1_parts, prime_parts))
+            patch.setattr(search, "_part_sigma_table", lambda *_: (width, [X, XP1, *primes], parts))
             hits = search_by_recursion(max_degree, "perfect")
             assert planted is None or planted in hits
             assert search_structured(max_degree, "perfect") == hits

@@ -376,13 +376,14 @@ def record_enumerations(monkeypatch):
 
 
 def test_run_all_degree_budget_bounds_mersenne_enumeration(monkeypatch):
-    # an instance on M has degree at least 2*deg(M), so DEGREE_BUDGET bounds
-    # the enumeration itself; lemma3.7 enumerates its own fixed range
+    # the grid enumerates up to --max-degree and lemma3.7 its own fixed
+    # range; DEGREE_BUDGET = 4 leaves no instance sigma(M^2h) on a prime of
+    # degree 3 or more, so only x^2+x+1 is reported
     asked = record_enumerations(monkeypatch)
     monkeypatch.setattr(verify, "DEGREE_BUDGET", 4)
-    reports = run_all(10**5, 3)
+    reports = run_all(6, 3)
     assert [r.params["M"] for r in reports if r.claim_id == "cor3.28"] == ["x^2+x+1"]
-    assert sorted(asked) == [2, verify._COUNTING_MAX_M]
+    assert sorted(asked) == [6, verify._COUNTING_MAX_M]
     assert all(r.params.get("M", "x^2+x+1") == "x^2+x+1" for r in reports)
 
 
