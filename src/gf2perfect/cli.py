@@ -16,9 +16,9 @@ Output depends only on the arguments.
 from __future__ import annotations
 
 import argparse
-import contextlib
 import json
 import sys
+from collections import Counter
 
 from . import divisors, search, verify
 from .factor import factorize
@@ -36,7 +36,6 @@ def _nonzero_poly_arg(text: str) -> Poly:
 
 def _add_common(sub):
     sub.add_argument("--format", choices=("text", "json"), default="text")
-    sub.add_argument("--out", metavar="FILE", default=None, help="write output here instead of stdout")
 
 
 def _build_parser():
@@ -125,7 +124,8 @@ def _cmd_mersenne(args):
 
 def _cmd_verify(args):
     reports = verify.run_all(args.max_degree, args.max_h, claim=args.claim)
-    if not any(r.verdict in ("pass", "fail") for r in reports):
+    counts = Counter(r.verdict for r in reports)
+    if not counts["pass"] and not counts["fail"]:
         raise ValueError("the sweep checked nothing: no instance gave a pass or fail verdict")
     # a selected claim can still check nothing, its every instance out of
     # scope; thm1.2 reports its two cases as thm1.2-i and thm1.2-ii
@@ -133,19 +133,12 @@ def _cmd_verify(args):
         verdicts = [r.verdict for r in reports if name in (r.claim_id, r.claim_id.partition("-")[0])]
         if "pass" not in verdicts and "fail" not in verdicts:
             print(f"note: {name} checked nothing: {len(verdicts)} out_of_scope", file=sys.stderr)
-    nfail = len(verify.failures(reports))
     if args.format == "json":
         lines = [r.to_json() for r in reports]
     else:
         lines = [f"{r.claim_id} {json.dumps(r.params, sort_keys=True)} {r.verdict}" for r in reports]
-        counts = {}
-        for r in reports:
-            counts[r.verdict] = counts.get(r.verdict, 0) + 1
-        lines.append(
-            "summary: "
-            + " ".join(f"{k}={counts.get(k, 0)}" for k in ("pass", "fail", "out_of_scope"))
-        )
-    return lines, (1 if nfail else 0)
+        lines.append("summary: " + " ".join(f"{k}={counts[k]}" for k in ("pass", "fail", "out_of_scope")))
+    return lines, (1 if counts["fail"] else 0)
 
 
 def _cmd_search(args):
@@ -208,20 +201,16 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
-    # the with statement's close flushes a file again, so the OSError it can
-    # raise is caught with the open's and the write's
     try:
-        # opened (and truncated) before the command runs, as a shell redirect is
-        with open(args.out, "w") if args.out else contextlib.nullcontext(sys.stdout) as fh:
-            try:
-                lines, code = _COMMANDS[args.command](args)
-            except (ValueError, ArithmeticError, BudgetError) as exc:  # ZeroDivisionError is an ArithmeticError
-                print(f"error: {exc}", file=sys.stderr)
-                return 2
-            fh.write("\n".join(lines) + "\n" if lines else "")
-            fh.flush()
+        lines, code = _COMMANDS[args.command](args)
+    except (ValueError, ArithmeticError, BudgetError) as exc:  # ZeroDivisionError is an ArithmeticError
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    try:
+        sys.stdout.write("\n".join(lines) + "\n" if lines else "")
+        sys.stdout.flush()
     except OSError as exc:
-        print(f"error: cannot write {args.out or 'stdout'}: {exc.strerror}", file=sys.stderr)
+        print(f"error: cannot write stdout: {exc.strerror}", file=sys.stderr)
         return 2
     return code
 

@@ -244,24 +244,15 @@ def count_irreducibles(m: int) -> int:
     return total // m
 
 
-def order_of_x(p: Poly) -> int:
-    """Multiplicative order of x modulo an irreducible p."""
+def is_primitive(p: Poly) -> bool:
+    """True iff x generates the multiplicative group modulo p: iff
+    x^((2^r - 1)/q) != 1 for every prime q dividing 2^r - 1, r = deg p."""
     if not is_irreducible(p):
         raise ValueError("order of x is computed modulo an irreducible polynomial")
     r = int(p.degree)
     if r > PRIMITIVITY_DEGREE_CAP:
         raise BudgetError(f"group order 2^{r}-1 exceeds the supported factoring range")
-    order = (1 << r) - 1
-    if p == X:  # x = 0 mod p has no order; degree-1 special cases
+    if p == X:  # x = 0 mod p has no order
         raise ValueError("x has no multiplicative order modulo x")
-    for q in _intmath.prime_factors(order):
-        while order % q == 0 and pow(X, order // q, p) == ONE:
-            order //= q
-    return order
-
-
-def is_primitive(p: Poly) -> bool:
-    """True iff x generates the full multiplicative group modulo p."""
-    r = int(p.degree)
-    return order_of_x(p) == (1 << r) - 1
-
+    order = (1 << r) - 1
+    return all(pow(X, order // q, p) != ONE for q in _intmath.prime_factors(order))

@@ -16,16 +16,17 @@ It then prints one line per mutant and the count killed, and exits 1
 unless every mutant is killed.
 
 The rows are the checkers' verdicts made never to read "fail", the exit
-code of a failing sweep, is_indecomposable's split test, and twenty-two
-edits: of the factoring, of integer factoring, of the parser, of the
-perfection test, of two checkers' failing branches, of the search, its
-hit decoder and its text output, of the sweep's grid, split rule and
-walk over the primes, of verify's stderr note on a claim that checked
-nothing, of the order of 2, the enumeration's images and the Delta test
-in mersenne, of the modular reduction in pow, and of the gcd, x -> x+1
-and byte-table reduction kernels.  No real instance fails a claim, so
-only the negative controls in tests/test_verify.py, tests/test_cli.py
-and tests/test_divisors.py can kill the first 14.
+code of a failing sweep, is_indecomposable's split test, and twenty-three
+edits: of the factoring, of the primitivity test, of integer factoring,
+of the parser, of the perfection test, of two checkers' failing
+branches, of the search, its hit decoder and its text output, of the
+sweep's grid, split rule and walk over the primes, of verify's stderr
+note on a claim that checked nothing, of the order of 2, the
+enumeration's images and the Delta test in mersenne, of the modular
+reduction in pow, and of the gcd, x -> x+1 and byte-table reduction
+kernels.  No real instance fails a claim, so only the negative controls
+in tests/test_verify.py, tests/test_cli.py and tests/test_divisors.py
+can kill the first 14.
 """
 
 import os
@@ -150,7 +151,7 @@ MUTANTS = (
     Mutant(
         "verify exits 0 on a failing verdict",
         "cli.py",
-        "return lines, (1 if nfail else 0)",
+        'return lines, (1 if counts["fail"] else 0)',
         "return lines, 0",
         ("tests/test_cli.py::test_verify_exits_1_on_a_failing_verdict",),
     ),
@@ -167,6 +168,13 @@ MUTANTS = (
         "while 2 * (d + 1) < fm.bit_length():",
         "while 2 * (d + 1) < fm.bit_length() and d < 8:",
         ("tests/test_acceptance.py::test_criterion_08_counting",),
+    ),
+    Mutant(
+        "is_primitive tests only the first prime factor",
+        "factor.py",
+        "_intmath.prime_factors(order)",
+        "_intmath.prime_factors(order)[:1]",
+        ("tests/test_factor.py::test_is_primitive_matches_the_brute_force_order_through_degree_10",),
     ),
     Mutant(
         "the scan takes no special part",

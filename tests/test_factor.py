@@ -10,7 +10,6 @@ from gf2perfect.factor import (
     is_irreducible,
     is_primitive,
     is_squarefree,
-    order_of_x,
 )
 from gf2perfect.gf2poly import ONE, X, XP1, BudgetError, Poly, _gcd_mask, _mul_mask, _reducer, parse
 from gf2perfect.divisors import factor_sigma_prime_power, sigma, sigma_prime_power
@@ -313,20 +312,32 @@ def _coprime(a, b):
     return a == 1
 
 
+def brute_force_order(p):
+    # direct order oracle: multiply x powers modulo p until hitting 1
+    r, order = X, 1
+    while r != ONE:
+        r = (r * X) % p
+        order += 1
+    return order
+
+
 def test_is_primitive():
     assert is_primitive(parse("x^2+x+1"))
     assert is_primitive(parse("x^3+x+1"))
     m3 = parse("x^4+x^3+x^2+x+1")
-    # direct order oracle: multiply x powers modulo m3 until hitting 1
-    r, order = X, 1
-    while r != ONE:
-        r = (r * X) % m3
-        order += 1
-    assert order == 5
-    assert order_of_x(m3) == 5
+    assert brute_force_order(m3) == 5
     assert not is_primitive(m3)
     with pytest.raises(ValueError):
         is_primitive(parse("x^2+1"))
+
+
+def test_is_primitive_matches_the_brute_force_order_through_degree_10():
+    irreducibles = [p for p in map(Poly, range(4, 1 << 11)) if is_irreducible(p)]
+    assert len(irreducibles) == 224
+    verdicts = [is_primitive(p) for p in irreducibles]
+    assert verdicts.count(False) == 65
+    for p, primitive in zip(irreducibles, verdicts):
+        assert primitive == (brute_force_order(p) == (1 << int(p.degree)) - 1), p
 
 
 def test_primitivity_exhaustive_small_mersenne_degrees():

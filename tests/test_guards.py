@@ -7,7 +7,7 @@ import pytest
 from gf2perfect import divisors
 from gf2perfect._intmath import euler_phi, factorize_int
 from gf2perfect.divisors import check, exact_power, is_indecomposable, sigma_star
-from gf2perfect.factor import is_squarefree, order_of_x
+from gf2perfect.factor import is_primitive, is_squarefree
 from gf2perfect.gf2poly import X, ZERO, BudgetError, Poly
 from gf2perfect.mersenne import catalog, enumerate_mersenne_primes
 from gf2perfect.search import _divisor_sum_tables
@@ -34,7 +34,7 @@ GUARDS = {
         ValueError,
         "squarefreeness is undefined for the zero polynomial",
     ),
-    "order_of_x(X)": (lambda: order_of_x(X), ValueError, "x has no multiplicative order modulo x"),
+    "is_primitive(X)": (lambda: is_primitive(X), ValueError, "x has no multiplicative order modulo x"),
     "enumerate_mersenne_primes(1)": (
         lambda: enumerate_mersenne_primes(1),
         ValueError,

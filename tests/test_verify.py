@@ -375,7 +375,7 @@ def record_enumerations(monkeypatch):
     return asked
 
 
-def test_run_all_degree_budget_bounds_mersenne_enumeration(monkeypatch):
+def test_degree_budget_cuts_each_primes_h(monkeypatch):
     # the grid enumerates up to --max-degree and lemma3.7 its own fixed
     # range; DEGREE_BUDGET = 4 leaves no instance sigma(M^2h) on a prime of
     # degree 3 or more, so only x^2+x+1 is reported
