@@ -10,7 +10,7 @@ the brute-force oracle (degree <= 20); classify_hits groups the hits.
 Exit codes: 0 success or all checks passed, 1 a verdict failed, 2 usage
 or input error (a verify sweep that yields no pass or fail verdict is
 one; a selected claim that alone yields none gets a note on stderr).
-Output depends only on the arguments.
+Output depends only on the arguments; each command here builds its lines.
 """
 
 from __future__ import annotations
@@ -25,6 +25,9 @@ from .factor import factorize
 from .gf2poly import BudgetError, Poly
 # catalog is unused here, but bench/run.py's set-up probe calls cli.catalog()
 from .mersenne import MersennePrime, catalog, enumerate_mersenne_primes, is_mersenne_prime, parse_named
+
+#: each mode's divisor sum as JSON names it: sigma's key and check's "mode"
+_SUM_NAMES = {"perfect": "sigma", "unitary": "sigma_star"}
 
 
 def _nonzero_poly_arg(text: str) -> Poly:
@@ -56,7 +59,7 @@ def _build_parser():
 
     p = sub.add_parser("check", help="test sigma(A) = A or sigma*(A) = A")
     p.add_argument("poly")
-    p.add_argument("--mode", choices=search.MODES, default="perfect")
+    p.add_argument("--mode", choices=divisors.MODES, default="perfect")
     _add_common(p)
 
     p = sub.add_parser("mersenne", help="enumerate Mersenne primes by degree")
@@ -70,7 +73,7 @@ def _build_parser():
     _add_common(p)
 
     p = sub.add_parser("search", help="search for (unitary) perfect polynomials")
-    p.add_argument("--mode", choices=search.MODES, default="perfect")
+    p.add_argument("--mode", choices=divisors.MODES, default="perfect")
     p.add_argument("--family", choices=("mersenne", "all"), default="mersenne")
     p.add_argument("--max-degree", type=int, required=True)
     p.add_argument("--all-powers", action="store_true", help="list every hit, not class representatives")
@@ -88,7 +91,7 @@ def _cmd_factor(args):
     p = _nonzero_poly_arg(args.poly)
     fact = factorize(p)
     if args.format == "json":
-        return [json.dumps(fact.to_json_obj(), sort_keys=True)], 0
+        return [json.dumps([{"prime": str(q), "mult": m} for q, m in fact], sort_keys=True)], 0
     return [str(fact)], 0
 
 
@@ -96,7 +99,7 @@ def _cmd_sigma(args):
     p = _nonzero_poly_arg(args.poly)
     value = divisors.sigma_star(p) if args.star else divisors.sigma(p)
     if args.format == "json":
-        key = "sigma_star" if args.star else "sigma"
+        key = _SUM_NAMES["unitary" if args.star else "perfect"]
         return [json.dumps({"input": str(p), key: str(value)}, sort_keys=True)], 0
     return [str(value)], 0
 
@@ -106,7 +109,11 @@ def _cmd_check(args):
     report = divisors.check(p, args.mode)
     code = 0 if report.verdict else 1
     if args.format == "json":
-        return [json.dumps(report.to_json_obj(), sort_keys=True)], code
+        obj = {"subject": str(p), "mode": _SUM_NAMES[args.mode], "verdict": report.verdict}
+        if report.witness is not None:
+            prime, m1, m2 = report.witness
+            obj["witness"] = {"prime": str(prime), "m1": m1, "m2": m2}
+        return [json.dumps(obj, sort_keys=True)], code
     if report.verdict:
         return [f"{args.mode}: true"], code
     prime, m1, m2 = report.witness
@@ -118,7 +125,8 @@ def _cmd_mersenne(args):
         raise ValueError("--max-degree must be at least 2")
     entries = enumerate_mersenne_primes(args.max_degree)
     if args.format == "json":
-        return [json.dumps(m.to_json_obj(), sort_keys=True) for m in entries], 0
+        objs = [{"a": m.a, "b": m.b, "degree": m.degree, "poly": str(m.poly)} for m in entries]
+        return [json.dumps(obj, sort_keys=True) for obj in objs], 0
     return [f"a={m.a} b={m.b} degree={m.degree} poly={m.poly}" for m in entries], 0
 
 
@@ -134,7 +142,9 @@ def _cmd_verify(args):
         if "pass" not in verdicts and "fail" not in verdicts:
             print(f"note: {name} checked nothing: {len(verdicts)} out_of_scope", file=sys.stderr)
     if args.format == "json":
-        lines = [r.to_json() for r in reports]
+        keys = ("claim", "params", "verdict", "witness")  # TheoremReport's fields, in order
+        objs = ({k: v for k, v in zip(keys, r) if v is not None} for r in reports)
+        lines = [json.dumps(obj, sort_keys=True, separators=(",", ":")) for obj in objs]
     else:
         lines = [f"{r.claim_id} {json.dumps(r.params, sort_keys=True)} {r.verdict}" for r in reports]
         lines.append("summary: " + " ".join(f"{k}={counts[k]}" for k in ("pass", "fail", "out_of_scope")))
@@ -152,7 +162,7 @@ def _cmd_search(args):
     for poly, cls in shown:
         obj = {
             "poly": str(poly),
-            "degree": int(poly.degree),
+            "degree": poly.degree,
             "factored": str(factorize(poly)),
             "class_rep": str(cls.rep),
             "trivial": cls.trivial,

@@ -18,25 +18,27 @@ from .gf2poly import ONE, X, BudgetError, Poly
 INDECOMPOSABLE_OMEGA_CAP = 20
 
 
+#: check's modes: sigma(A) = A and sigma*(A) = A
+MODES = ("perfect", "unitary")
+
+
 class PerfectionReport(NamedTuple):
-    """Verdict of the sigma(A) = A (or sigma*(A) = A) test.
+    """Verdict of check's sigma(A) = A (or sigma*(A) = A) test of A.
 
     When the verdict is false, witness holds (prime, m1, m2) with
-    prime^m1 exactly dividing the subject, prime^m2 exactly dividing the
-    divisor sum, and m1 != m2.
+    prime^m1 exactly dividing A, prime^m2 exactly dividing the divisor
+    sum, and m1 != m2.
     """
 
-    subject: Poly
-    mode: str
     verdict: bool
     witness: tuple[Poly, int, int] | None = None
 
-    def to_json_obj(self):
-        obj = {"subject": str(self.subject), "mode": self.mode, "verdict": self.verdict}
-        if self.witness is not None:
-            prime, m1, m2 = self.witness
-            obj["witness"] = {"prime": str(prime), "m1": m1, "m2": m2}
-        return obj
+
+def is_unitary(mode: str) -> bool:
+    """True for mode 'unitary' and False for 'perfect'; any other mode is refused."""
+    if mode not in MODES:
+        raise ValueError(f"mode must be one of {MODES}")
+    return mode == "unitary"
 
 
 def sigma_prime_power(prime: Poly, n: int, unitary: bool = False) -> Poly:
@@ -109,22 +111,18 @@ def _witness(subject: Poly, divisor_sum: Poly):
         m1, m2 = fs.get(p, 0), fd.get(p, 0)
         if m1 != m2:
             return p, m1, m2
-    return None
 
 
 def check(a: Poly, mode: str) -> PerfectionReport:
     """Test sigma(a) = a (mode 'perfect') or sigma*(a) = a (mode 'unitary'),
     with a disagreeing prime-power pair on failure; a must be nonconstant."""
-    unitary = mode == "unitary"
-    if not unitary and mode != "perfect":
-        raise ValueError(f"unknown mode {mode!r}")
+    unitary = is_unitary(mode)
     if not a or a.degree < 1:
         raise ValueError("perfection is defined for nonconstant polynomials")
     s = sigma_of_factored(factorize(a), unitary)
-    report_mode = "sigma_star" if unitary else "sigma"
     if s == a:
-        return PerfectionReport(a, report_mode, True)
-    return PerfectionReport(a, report_mode, False, _witness(a, s))
+        return PerfectionReport(True)
+    return PerfectionReport(False, _witness(a, s))
 
 
 def is_indecomposable(a: Poly, mode: str = "perfect") -> bool:

@@ -65,9 +65,6 @@ class Factorization(tuple):
             out = out * p**m
         return out
 
-    def to_json_obj(self):
-        return [{"prime": str(p), "mult": m} for p, m in self]
-
     def __str__(self):
         parts = []
         for p, m in self:
@@ -249,7 +246,7 @@ def is_primitive(p: Poly) -> bool:
     x^((2^r - 1)/q) != 1 for every prime q dividing 2^r - 1, r = deg p."""
     if not is_irreducible(p):
         raise ValueError("order of x is computed modulo an irreducible polynomial")
-    r = int(p.degree)
+    r = p.degree
     if r > PRIMITIVITY_DEGREE_CAP:
         raise BudgetError(f"group order 2^{r}-1 exceeds the supported factoring range")
     if p == X:  # x = 0 mod p has no order

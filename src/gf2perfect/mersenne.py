@@ -34,9 +34,6 @@ class MersennePrime(NamedTuple):
     def degree(self) -> int:
         return self.a + self.b
 
-    def to_json_obj(self):
-        return {"a": self.a, "b": self.b, "degree": self.degree, "poly": str(self.poly)}
-
 
 def mersenne_poly(a: int, b: int) -> Poly:
     """The polynomial 1 + x^a (x+1)^b (irreducible or not)."""

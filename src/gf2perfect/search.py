@@ -29,7 +29,7 @@ from itertools import accumulate, compress, repeat
 from operator import not_, setitem, xor
 from typing import NamedTuple
 
-from .divisors import canonical_class_rep, factor_sigma_prime_power, is_indecomposable
+from .divisors import canonical_class_rep, factor_sigma_prime_power, is_indecomposable, is_unitary
 from .factor import count_irreducibles, factorize
 # bench/trace_launch.py wraps search._mul_mask and search._divmod_mask by
 # name; search calls _mul_mask, and _divmod_mask stays imported for the tracer.
@@ -39,14 +39,11 @@ from .mersenne import catalog, enumerate_mersenne_primes, mersenne_form
 #: Hard guard for the exhaustive family=all search (2^(D+1) sigma values).
 BRUTEFORCE_MAX_DEGREE = 20
 
-MODES = ("perfect", "unitary")
 
-
-def _check_search_args(max_degree: int, mode: str):
+def _check_search_args(max_degree: int, mode: str) -> bool:
     if max_degree < 1:
         raise ValueError("max_degree must be positive")
-    if mode not in MODES:
-        raise ValueError(f"mode must be one of {MODES}")
+    return is_unitary(mode)
 
 
 def _part_sigma_table(max_degree: int, mode: str):
@@ -254,10 +251,10 @@ def search_bruteforce(max_degree: int, mode: str = "perfect") -> list[Poly]:
     XORs the table's low-byte plane with the bytes m mod 256 and confirms
     each zero byte, about one lane in 256, with the full comparison.
     """
-    _check_search_args(max_degree, mode)
+    unitary = _check_search_args(max_degree, mode)
     if max_degree > BRUTEFORCE_MAX_DEGREE:
         raise BudgetError(f"family=all search is guarded at degree {BRUTEFORCE_MAX_DEGREE}")
-    table = _divisor_sum_tables(max_degree, mode == "unitary")
+    table = _divisor_sum_tables(max_degree, unitary)
     n = len(table)
     plane = memoryview(table).cast("B")[0 if sys.byteorder == "little" else 3 :: 4]
     identity = (bytes(range(256)) * (n + 255 >> 8))[:n]  # m mod 256 for each m
@@ -295,14 +292,14 @@ def classify_hits(hits, mode: str) -> tuple[HitClass, ...]:
     """
     cat = catalog()
     groups: dict[Poly, list[Poly]] = {}
-    if mode == "perfect":
-        known_reps = set(cat.perfects)
-        for h in hits:
-            groups[h] = [h]
-    else:
+    if is_unitary(mode):
         known_reps = {canonical_class_rep(p) for p in cat.unitary_perfects}
         for h in hits:
             groups.setdefault(canonical_class_rep(h), []).append(h)
+    else:
+        known_reps = set(cat.perfects)
+        for h in hits:
+            groups[h] = [h]
     classes = []
     for rep in sorted(groups):
         fact = factorize(rep)

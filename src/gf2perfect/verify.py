@@ -48,12 +48,6 @@ class TheoremReport(NamedTuple):
     verdict: str  # "pass" | "fail" | "out_of_scope"
     witness: dict | None = None
 
-    def to_json(self) -> str:
-        obj = {"claim": self.claim_id, "params": self.params, "verdict": self.verdict}
-        if self.witness is not None:
-            obj["witness"] = self.witness
-        return json.dumps(obj, sort_keys=True, separators=(",", ":"))
-
     def sort_key(self):
         return (self.claim_id, json.dumps(self.params, sort_keys=True))
 
@@ -154,7 +148,7 @@ def check_U_split_square(rec: SigmaRecord) -> TheoremReport:
     params = _m_params(rec.m, h=rec.h)
     if other:
         return TheoremReport("cor3.6", params, "out_of_scope", witness)
-    ok = splits and u % 2 == 0 and v % 2 == 0 and u2h.is_square() and len(fact) > 1
+    ok = splits and u % 2 == 0 and v % 2 == 0 and witness["square"] and witness["reducible"]
     return TheoremReport("cor3.6", params, "pass" if ok else "fail", witness)
 
 
@@ -192,7 +186,7 @@ def check_alpha3_u2h(rec: SigmaRecord) -> TheoremReport:
     applicable = (m.a, m.b) == (1, 2) and _intmath.is_prime(p) and p not in (3, 5, 7)
     if not applicable:
         return TheoremReport("cor3.17", params, "out_of_scope", witness)
-    ok = u2h.alpha(3) == 1 and low.alpha(3) == 1 and low.alpha(1) == 0
+    ok = (witness["alpha3_U"], witness["alpha3_M_low"], witness["alpha1_M_low"]) == (1, 1, 0)
     return TheoremReport("cor3.17", params, "pass" if ok else "fail", witness)
 
 
@@ -212,7 +206,7 @@ def check_alpha3_u2(rec: SigmaRecord) -> TheoremReport:
     params = _m_params(m)
     if m.poly in cat.mersennes or len(fact) < 3:
         return TheoremReport("cor3.28", params, "out_of_scope", witness)
-    ok = u2.alpha(3) == 1 and s.alpha(3) == 0 and witness["trinomial_divides"]
+    ok = witness["alpha3_U2"] == 1 and witness["alpha3_sigma_M2"] == 0 and witness["trinomial_divides"]
     return TheoremReport("cor3.28", params, "pass" if ok else "fail", witness)
 
 
@@ -235,7 +229,7 @@ def check_degree_m_divisors(rec: SigmaRecord) -> TheoremReport:
     forbidden = [
         str(q)
         for q, _ in fact
-        if _intmath.is_mersenne_prime_exponent(int(q.degree)) and (1 << int(q.degree)) - 1 != p
+        if _intmath.is_mersenne_prime_exponent(q.degree) and (1 << q.degree) - 1 != p
     ]
     iff_bad = []
     for name, cond_p in (("M1", 3), ("M2", 7), ("M2b", 7)):
@@ -257,7 +251,7 @@ def check_order_divides_degrees(rec: SigmaRecord) -> TheoremReport:
     if not _intmath.is_prime(p):
         return TheoremReport("lemma3.8", params, "out_of_scope", {"p": p})
     o = ord2(p)
-    bad = [str(q) for q, _ in rec.fact if int(q.degree) % o]
+    bad = [str(q) for q, _ in rec.fact if q.degree % o]
     return TheoremReport("lemma3.8", params, "fail" if bad else "pass", {"ord": o, "violations": bad})
 
 
@@ -321,7 +315,7 @@ def explore_alpha_u6(m: MersennePrime) -> list[tuple[int, int]]:
     alpha_l = 0 here.  Nothing is asserted.
     """
     u6 = sigma_of_factored(sigma_record(m, 3).fact)
-    return [(l, u6.alpha(l)) for l in range(int(u6.degree) + 1)]
+    return [(l, u6.alpha(l)) for l in range(u6.degree + 1)]
 
 
 _CHECKERS = {

@@ -16,17 +16,17 @@ It then prints one line per mutant and the count killed, and exits 1
 unless every mutant is killed.
 
 The rows are the checkers' verdicts made never to read "fail", the exit
-code of a failing sweep, is_indecomposable's split test, and twenty-three
+code of a failing sweep, is_indecomposable's split test, and twenty-four
 edits: of the factoring, of the primitivity test, of integer factoring,
-of the parser, of the perfection test, of two checkers' failing
-branches, of the search, its hit decoder and its text output, of the
-sweep's grid, split rule and walk over the primes, of verify's stderr
-note on a claim that checked nothing, of the order of 2, the
-enumeration's images and the Delta test in mersenne, of the modular
-reduction in pow, and of the gcd, x -> x+1 and byte-table reduction
-kernels.  No real instance fails a claim, so only the negative controls
-in tests/test_verify.py, tests/test_cli.py and tests/test_divisors.py
-can kill the first 14.
+of the parser, of classify_hits' mode check, of the perfection test, of
+two checkers' failing branches, of the search, its hit decoder and its
+text output, of the sweep's grid, split rule and walk over the primes,
+of verify's stderr note on a claim that checked nothing, of the order
+of 2, the enumeration's images and the Delta test in mersenne, of the
+modular reduction in pow, and of the gcd, x -> x+1 and byte-table
+reduction kernels.  No real instance fails a claim, so only the
+negative controls in tests/test_verify.py, tests/test_cli.py and
+tests/test_divisors.py can kill the first 14.
 """
 
 import os
@@ -266,6 +266,13 @@ MUTANTS = (
         'flags = [k for k in ("trivial", "in_catalog", "outside_scope", "decomposable") if obj[k]]',
         "flags = []",
         ("tests/test_cli.py::test_search_json_digest",),
+    ),
+    Mutant(
+        "classify_hits checks no mode",
+        "search.py",
+        "if is_unitary(mode):",
+        'if mode == "unitary":',
+        ('tests/test_guards.py::test_guard_raises_its_error[classify_hits([], "bogus")]',),
     ),
     Mutant(
         "check always reports perfect",

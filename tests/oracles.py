@@ -129,7 +129,7 @@ def certify_verify_sweep(max_degree: int, max_h: int) -> tuple[int, int, list[st
         reports = verify.run_all(max_degree, max_h)
     finally:
         verify.sigma_record = form
-    problems = [f"verdict fail: {r.to_json()}" for r in verify.failures(reports)]
+    problems = [f"verdict fail: {r!r}" for r in verify.failures(reports)]
     problems += [
         f"the record of sigma(({r.m.poly})^{2 * r.h}) holds a wrong sum"
         for r in records

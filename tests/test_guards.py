@@ -10,7 +10,7 @@ from gf2perfect.divisors import check, exact_power, is_indecomposable, sigma_sta
 from gf2perfect.factor import is_primitive, is_squarefree
 from gf2perfect.gf2poly import X, ZERO, BudgetError, Poly
 from gf2perfect.mersenne import catalog, enumerate_mersenne_primes
-from gf2perfect.search import _divisor_sum_tables
+from gf2perfect.search import _divisor_sum_tables, classify_hits
 
 CAT = catalog()
 
@@ -28,7 +28,16 @@ GUARDS = {
         ValueError,
         "exact power is undefined for the zero polynomial",
     ),
-    'check(T1, "bogus")': (lambda: check(CAT.lookup("T1"), "bogus"), ValueError, "unknown mode 'bogus'"),
+    'check(T1, "bogus")': (
+        lambda: check(CAT.lookup("T1"), "bogus"),
+        ValueError,
+        "mode must be one of ('perfect', 'unitary')",
+    ),
+    'classify_hits([], "bogus")': (
+        lambda: classify_hits([], "bogus"),
+        ValueError,
+        "mode must be one of ('perfect', 'unitary')",
+    ),
     "is_squarefree(ZERO)": (
         lambda: is_squarefree(ZERO),
         ValueError,

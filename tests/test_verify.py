@@ -1,4 +1,3 @@
-import json
 from collections import Counter
 
 import pytest
@@ -286,7 +285,7 @@ def test_one_off_checker_fails_on_a_range_that_breaks_its_claim(monkeypatch, che
 def test_run_all_deterministic_and_sorted():
     a = run_all(4, 3)
     b = run_all(4, 3)
-    assert [r.to_json() for r in a] == [r.to_json() for r in b]
+    assert a == b
     keys = [r.sort_key() for r in a]
     assert keys == sorted(keys)
 
@@ -395,13 +394,6 @@ def test_one_off_claim_enumerates_no_grid_primes(monkeypatch, claim, expected):
     reports = run_all(120, 1, claim=claim)
     assert [r.claim_id for r in reports] == [claim]
     assert asked == expected
-
-
-def test_report_json_shape():
-    r = check_sigma_even_power(sigma_record(M2, 1))
-    obj = json.loads(r.to_json())
-    assert set(obj) == {"claim", "params", "verdict", "witness"}
-    assert obj["params"]["h"] == 1
 
 
 def test_claim_registry():
